@@ -1,8 +1,10 @@
 // Command xrcrash is the crash-recovery gate run by CI (`make
 // crash-smoke`): it kills a WAL-enabled store's log at randomized byte
 // offsets mid-workload, reopens through recovery, and verifies that every
-// acknowledged transaction survived and every index invariant (Definition
-// 4, B+-tree ordering) holds. A final phase hammers one store with
+// acknowledged transaction survived, that every multi-element insert
+// batch is wholly present or wholly absent, that the XR-tree satisfies
+// Definition 4, and that the no-index and B+ joins still agree with
+// XR-stack on the redone set. A final phase hammers one store with
 // concurrent writers and asserts the group-commit signature, fsyncs <
 // commits.
 //
@@ -26,7 +28,7 @@ import (
 func main() {
 	var (
 		n       = flag.Int("n", 30, "randomized kill points to test")
-		ops     = flag.Int("ops", 200, "insert/delete transactions per run")
+		ops     = flag.Int("ops", 200, "mutation rounds per run (an insert or delete, then an insert batch)")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		writers = flag.Int("writers", 8, "concurrent writers in the group-commit phase")
 		wops    = flag.Int("wops", 100, "inserts per writer in the group-commit phase")

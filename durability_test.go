@@ -33,8 +33,9 @@ func walStore(t *testing.T, path string) (*xrtree.Store, *xrtree.ElementSet) {
 	return store, set
 }
 
-// TestWALRecoveryRoundtrip commits inserts, drops the store without
-// closing, and checks that recovery on reopen redoes them.
+// TestWALRecoveryRoundtrip commits an insert batch, drops the store
+// without closing, and checks that recovery on reopen redoes it — and
+// that the redone set still answers every join from its XR-tree.
 func TestWALRecoveryRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "xr.db")
 	store, set := walStore(t, path)
@@ -43,7 +44,8 @@ func TestWALRecoveryRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := xmldoc.Element{DocID: 1, Start: 1000, End: 1003, Level: 1}
-	if err := xr.Insert(ins); err != nil {
+	inner := xmldoc.Element{DocID: 1, Start: 1001, End: 1002, Level: 2}
+	if err := xr.Insert(ins, inner); err != nil {
 		t.Fatal(err)
 	}
 	if st, ok := store.WALStats(); !ok || st.Commits == 0 {
@@ -73,6 +75,32 @@ func TestWALRecoveryRoundtrip(t *testing.T) {
 	got, err := set2.FindAncestors(1001, nil)
 	if err != nil || len(got) != 1 || got[0].Start != ins.Start || got[0].End != ins.End {
 		t.Fatalf("committed insert lost: %v %v", got, err)
+	}
+	// The persisted mutated bit routes B+ and no-index to the XR-tree, so
+	// they agree with XR-stack, new pair included, instead of reading the
+	// bulk-loaded B+-tree.
+	want, err := xrtree.JoinPairs(xrtree.AlgXRStack, xrtree.AncestorDescendant, set2, set2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want); n == 0 || want[n-1] != (xrtree.Pair{A: ins, D: inner}) {
+		t.Fatalf("XR-stack self-join after redo lacks the inserted pair: %v", want)
+	}
+	sortPairs(want)
+	for _, alg := range []xrtree.Algorithm{xrtree.AlgNoIndex, xrtree.AlgBPlus} {
+		pairs, err := xrtree.JoinPairs(alg, xrtree.AncestorDescendant, set2, set2, nil)
+		if err != nil {
+			t.Fatalf("%v after redo: %v", alg, err)
+		}
+		sortPairs(pairs)
+		if len(pairs) != len(want) {
+			t.Fatalf("%v after redo: %d pairs, XR-stack %d", alg, len(pairs), len(want))
+		}
+		for i := range want {
+			if pairs[i] != want[i] {
+				t.Fatalf("%v after redo: pair %d = %v, XR-stack %v", alg, i, pairs[i], want[i])
+			}
+		}
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@
 // concurrency design (PRs 2, 7, 8, and the B-link protocol) layers seven
 // lock classes:
 //
-//	level 1: Tree.wlatch     — btree/core writer mutex
+//	level 1: Tree.wlatch     — XR-tree (core) writer mutex
 //	level 2: Pool.ckptGate   — WAL checkpoint gate (RWMutex, PR 7)
 //	level 3: Tree.pl         — per-page latches (platch.Table)
 //	level 4: shard.mu        — buffer-pool shard mutexes
@@ -90,7 +90,8 @@ type summary struct {
 
 // methodLevels summarizes exported entry points of other packages: the
 // lowest lock level the method acquires internally. Matching is by
-// receiver type name, so btree.Tree and core.Tree share the Tree rows.
+// receiver type name, so the latch-free readers of the read-only
+// btree.Tree are summarized conservatively with core.Tree's rows.
 var methodLevels = map[[2]string]int{
 	// Mutations take wlatch; so do the exact-answer fallback inside the
 	// ancestor probe, the full checker, and the space census.

@@ -5,42 +5,29 @@
 // linked left to right; internal pages hold separator keys and child
 // pointers.
 //
-// The tree is dynamic (insert and delete with split, redistribution and
-// merge) and all page access goes through the buffer pool so experiments
-// observe page misses. Iterators support SeekGE, the primitive the B+ join
-// algorithm uses to skip descendants ("range queries"), and sequential
-// scans over the leaf chain.
+// The tree is a read-only paper baseline: BulkLoad builds it once from a
+// start-sorted element slice, and every later operation reads. Updates
+// go to the XR-tree (package core), the one mutable access path of an
+// element set. All page access goes through the buffer pool so
+// experiments observe page misses. Iterators support SeekGE, the
+// primitive the B+ join algorithm uses to skip descendants ("range
+// queries"), and sequential scans over the leaf chain.
 //
 // # Concurrency
 //
-// The tree uses the B-link protocol (Lehman–Yao): every index page
-// carries a high key (the lowest key of its right sibling; 0 = +∞) and a
-// right-sibling link in its header. Readers never take a tree-wide latch:
-// a descent holds one per-page shared latch at a time (see
-// internal/platch) just long enough to copy the page, and recovers from
-// a concurrent split by moving right whenever the search key is at or
-// beyond the page's high key. Writers serialize against each other on
-// wlatch (the WAL transaction state is per-tree) but block readers only
-// page by page: every byte mutation of a reader-reachable page happens
-// inside that page's exclusive latch, and a split populates the new
-// right sibling before the one latched write that shrinks the left page
-// and installs its right-link — so readers observe either the pre-split
-// page or a well-formed left half whose high key sends them right, never
-// a torn page. Iterators work on private leaf copies and re-latch only
-// for the hop to the next leaf. Query paths attribute costs to
-// caller-supplied counters, never to the shared tree sink.
+// A tree is bulk-loaded before it is published and never written again,
+// so readers need no latches: any number of concurrent lookups and
+// iterators share it. Iterators work on private leaf copies, and query
+// paths attribute costs to caller-supplied counters.
 package btree
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"xrtree/internal/bufferpool"
 	"xrtree/internal/metrics"
 	"xrtree/internal/pagefile"
-	"xrtree/internal/platch"
 	"xrtree/internal/xmldoc"
 )
 
@@ -63,10 +50,9 @@ import (
 //	16: entries, m × 8 bytes: key u32 | child u32
 //	    (child of entry i is the subtree with keys ≥ key i)
 //
-// The high key and right link are the B-link fields: a page covers keys
-// strictly below its high key, and a reader finding its search key at or
-// beyond the high key follows the right link (for leaves, the existing
-// chain's next pointer doubles as the right link).
+// The high key and right link are B-link fields kept for page-format
+// stability: BulkLoad still writes them, but readers of a bulk-loaded tree
+// never need to move right.
 const (
 	metaMagic = 0x42545230 // "BTR0"
 
@@ -88,9 +74,8 @@ const (
 
 // Errors returned by the tree.
 var (
-	ErrNotFound  = errors.New("btree: element not found")
-	ErrDuplicate = errors.New("btree: duplicate start key")
-	ErrCorrupt   = errors.New("btree: corrupt page")
+	ErrNotFound = errors.New("btree: element not found")
+	ErrCorrupt  = errors.New("btree: corrupt page")
 )
 
 // Tree is a disk-resident B+-tree over elements keyed by Start.
@@ -99,86 +84,40 @@ type Tree struct {
 	meta  pagefile.PageID
 	docID uint32
 
-	// rootH packs the root page id (high 32 bits) and the tree height
-	// (low 32 bits; 1 = root is a leaf) into one word so lock-free
-	// readers start every descent from a consistent pair. Stale values
-	// are safe: an old root still reaches every key via right-links.
-	rootH atomic.Uint64
-
-	count atomic.Int64
+	root   pagefile.PageID
+	height int // 1 = root is a leaf
+	count  int
 
 	leafCap int // max elements per leaf
 	intCap  int // max keys per internal node
 
-	// wlatch serializes writers (Insert, Delete, BulkLoad) against each
-	// other; the per-mutation WAL transaction state below is per-tree.
-	// Readers never take it — they synchronize with writers through the
-	// per-page latches in pl.
-	wlatch sync.Mutex
-
-	// pl holds the per-page latches of the B-link protocol: readers
-	// latch one page shared while copying it; writers latch a page
-	// exclusively for each byte mutation of a reader-reachable page.
-	pl *platch.Table
-
-	// tx is the WAL transaction of the mutation in flight, nil outside one.
-	// Guarded by wlatch (see the core package's twin for details).
-	tx *bufferpool.Tx
-
-	c *metrics.Counters // optional counter sink, used by write paths only
+	debugPins int // net pins of the BulkLoad in flight; xrtreedebug only
 }
 
-// loadRoot returns a consistent (root page, height) snapshot.
-func (t *Tree) loadRoot() (pagefile.PageID, int) {
-	v := t.rootH.Load()
-	return pagefile.PageID(v >> 32), int(uint32(v))
-}
-
-// setRoot publishes a new (root page, height) pair. Writer-only; the new
-// root must be fully populated before the call.
-func (t *Tree) setRoot(id pagefile.PageID, h int) {
-	t.rootH.Store(uint64(id)<<32 | uint64(uint32(h)))
-}
-
-// The fetch/unpin wrappers route page accesses through the in-flight WAL
-// transaction when one exists; otherwise they are the plain pool calls.
+// fetch, fetchNew and unpin are BulkLoad's pool calls, counted for the
+// xrtreedebug pin-balance check.
 
 func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
-	return t.pool.FetchHeld(t.tx, id)
+	data, err := t.pool.Fetch(id)
+	t.debugPinned(err, 1)
+	return data, err
 }
 
 func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
-	return t.pool.FetchNewHeld(t.tx)
+	id, data, err := t.pool.FetchNew()
+	t.debugPinned(err, 1)
+	return id, data, err
 }
 
 func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
-	return t.pool.UnpinTx(t.tx, id, dirty)
-}
-
-func (t *Tree) discard(id pagefile.PageID) error {
-	return t.pool.DiscardTx(t.tx, id)
-}
-
-func (t *Tree) free(id pagefile.PageID) error {
-	return t.pool.FreeTx(t.tx, id)
-}
-
-// beginTx starts a WAL transaction for one mutation and returns its
-// commit function, to be deferred with the mutation's named error.
-func (t *Tree) beginTx() func(*error) {
-	t.tx = t.pool.Begin()
-	return func(errp *error) {
-		tx := t.tx
-		t.tx = nil
-		if cerr := t.pool.CommitTx(tx); cerr != nil && *errp == nil {
-			*errp = cerr
-		}
-	}
+	err := t.pool.Unpin(id, dirty)
+	t.debugPinned(err, -1)
+	return err
 }
 
 // New creates an empty tree whose pages come from pool's file.
 func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
-	t := &Tree{pool: pool, docID: docID, pl: platch.NewTable()}
+	t := &Tree{pool: pool, docID: docID, height: 1}
 	t.computeCaps()
 	metaID, metaData, err := pool.FetchNew()
 	if err != nil {
@@ -195,7 +134,7 @@ func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
 		pool.Unpin(metaID, true) // best-effort: the first error propagates
 		return nil, err
 	}
-	t.setRoot(rootID, 1)
+	t.root = rootID
 	putU32(metaData[0:], metaMagic)
 	t.writeMeta(metaData)
 	if err := pool.Unpin(metaID, true); err != nil {
@@ -206,7 +145,7 @@ func New(pool *bufferpool.Pool, docID uint32) (*Tree, error) {
 
 // Open reattaches to a tree previously created by New in pool's file.
 func Open(pool *bufferpool.Pool, meta pagefile.PageID) (*Tree, error) {
-	t := &Tree{pool: pool, meta: meta, pl: platch.NewTable()}
+	t := &Tree{pool: pool, meta: meta}
 	t.computeCaps()
 	data, err := pool.Fetch(meta)
 	if err != nil {
@@ -216,8 +155,9 @@ func Open(pool *bufferpool.Pool, meta pagefile.PageID) (*Tree, error) {
 	if getU32(data[0:]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
 	}
-	t.setRoot(pagefile.PageID(getU32(data[4:])), int(getU32(data[8:])))
-	t.count.Store(int64(getU32(data[12:])))
+	t.root = pagefile.PageID(getU32(data[4:]))
+	t.height = int(getU32(data[8:]))
+	t.count = int(getU32(data[12:]))
 	t.docID = getU32(data[16:])
 	return t, nil
 }
@@ -232,19 +172,18 @@ func (t *Tree) computeCaps() {
 }
 
 func (t *Tree) syncMeta() error {
-	data, err := t.fetch(t.meta)
+	data, err := t.pool.Fetch(t.meta)
 	if err != nil {
 		return err
 	}
 	t.writeMeta(data)
-	return t.unpin(t.meta, true)
+	return t.pool.Unpin(t.meta, true)
 }
 
 func (t *Tree) writeMeta(data []byte) {
-	root, h := t.loadRoot()
-	putU32(data[4:], uint32(root))
-	putU32(data[8:], uint32(h))
-	putU32(data[12:], uint32(t.count.Load()))
+	putU32(data[4:], uint32(t.root))
+	putU32(data[8:], uint32(t.height))
+	putU32(data[12:], uint32(t.count))
 	putU32(data[16:], t.docID)
 }
 
@@ -252,38 +191,16 @@ func (t *Tree) writeMeta(data []byte) {
 func (t *Tree) Meta() pagefile.PageID { return t.meta }
 
 // Len returns the number of elements in the tree.
-func (t *Tree) Len() int { return int(t.count.Load()) }
+func (t *Tree) Len() int { return t.count }
 
 // Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { _, h := t.loadRoot(); return h }
+func (t *Tree) Height() int { return t.height }
 
 // DocID returns the document id of the indexed set.
 func (t *Tree) DocID() uint32 { return t.docID }
 
-// SetCounters directs cost accounting to c (nil detaches).
-func (t *Tree) SetCounters(c *metrics.Counters) { t.c = c }
-
-func (t *Tree) countNode() {
-	if t.c != nil {
-		t.c.IndexNodeReads++
-	}
-}
-
-func (t *Tree) countLeaf() {
-	if t.c != nil {
-		t.c.LeafReads++
-	}
-}
-
-func (t *Tree) countScan(n int) {
-	if t.c != nil {
-		t.c.ElementsScanned += int64(n)
-	}
-}
-
-// The add* helpers attribute costs to an explicit counter set; query paths
-// use them (instead of the tree-attached sink) so concurrent readers never
-// share mutable counter state.
+// The add* helpers attribute costs to the caller's counter set, so
+// concurrent readers never share mutable counter state.
 func addNode(c *metrics.Counters) {
 	if c != nil {
 		c.IndexNodeReads++
@@ -340,25 +257,15 @@ func leafElem(data []byte, i int) xmldoc.Element {
 func leafKey(data []byte, i int) uint32 { return getU32(leafEntry(data, i)) }
 
 func leafNext(data []byte) pagefile.PageID     { return pagefile.PageID(getU32(data[offLeafNext:])) }
-func leafPrev(data []byte) pagefile.PageID     { return pagefile.PageID(getU32(data[offLeafPrev:])) }
 func setLeafNext(d []byte, id pagefile.PageID) { putU32(d[offLeafNext:], uint32(id)) }
 func setLeafPrev(d []byte, id pagefile.PageID) { putU32(d[offLeafPrev:], uint32(id)) }
 
 // The high key is the lowest key of the page's right sibling; 0 means +∞
-// (rightmost page at its level). A reader whose search key is ≥ the high
-// key moves right. For leaves the chain's next pointer is the right link.
-func leafHigh(data []byte) uint32             { return getU32(data[offLeafHigh:]) }
+// (rightmost page at its level). For leaves the chain's next pointer is
+// the right link.
 func setLeafHigh(d []byte, k uint32)          { putU32(d[offLeafHigh:], k) }
-func intNext(data []byte) pagefile.PageID     { return pagefile.PageID(getU32(data[offIntNext:])) }
 func setIntNext(d []byte, id pagefile.PageID) { putU32(d[offIntNext:], uint32(id)) }
-func intHigh(data []byte) uint32              { return getU32(data[offIntHigh:]) }
 func setIntHigh(d []byte, k uint32)           { putU32(d[offIntHigh:], k) }
-
-// moveRight reports whether a B-link reader positioned at a page with the
-// given high key and right link must follow the link to find key.
-func moveRight(high uint32, next pagefile.PageID, key uint32) bool {
-	return high != 0 && key >= high && next != pagefile.InvalidPage
-}
 
 func intKey(data []byte, i int) uint32 {
 	return getU32(data[internalHeader+i*intEntrySize:])

@@ -49,25 +49,42 @@ func collect(t *testing.T, tr *Tree) []xmldoc.Element {
 	return out
 }
 
-func TestInsertLookupScan(t *testing.T) {
-	pool := newPool(t, 256, 32)
+// bulk returns a tree bulk-loaded (packed) with elem(k) for every k.
+func bulk(t *testing.T, pool *bufferpool.Pool, keys ...uint32) *Tree {
+	t.Helper()
 	tr, err := New(pool, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := rand.New(rand.NewSource(1)).Perm(1000)
-	for _, k := range keys {
-		if err := tr.Insert(elem(uint32(k*2 + 1))); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
-		}
+	es := make([]xmldoc.Element, len(keys))
+	for i, k := range keys {
+		es[i] = elem(k)
 	}
+	if err := tr.BulkLoad(es, 1.0); err != nil {
+		t.Fatalf("BulkLoad: %v", err)
+	}
+	return tr
+}
+
+// seq returns the keys step·i + first for i < n.
+func seq(n int, first, step uint32) []uint32 {
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = first + step*uint32(i)
+	}
+	return keys
+}
+
+func TestBulkLoadLookupScan(t *testing.T) {
+	pool := newPool(t, 256, 32)
+	tr := bulk(t, pool, seq(1000, 1, 2)...)
 	if tr.Len() != 1000 {
 		t.Errorf("Len = %d, want 1000", tr.Len())
 	}
 	if tr.Height() < 3 {
 		t.Errorf("Height = %d, want ≥ 3 with 256B pages", tr.Height())
 	}
-	for _, k := range keys {
+	for _, k := range rand.New(rand.NewSource(1)).Perm(1000) {
 		e, err := tr.Lookup(uint32(k*2+1), nil)
 		if err != nil {
 			t.Fatalf("Lookup(%d): %v", k*2+1, err)
@@ -83,9 +100,9 @@ func TestInsertLookupScan(t *testing.T) {
 	if len(got) != 1000 {
 		t.Fatalf("scan found %d, want 1000", len(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Start >= got[i].Start {
-			t.Fatalf("scan out of order at %d", i)
+	for i := range got {
+		if got[i] != elem(uint32(i*2+1)) {
+			t.Fatalf("scan[%d] = %v, want %v", i, got[i], elem(uint32(i*2+1)))
 		}
 	}
 	if pool.PinnedCount() != 0 {
@@ -93,30 +110,9 @@ func TestInsertLookupScan(t *testing.T) {
 	}
 }
 
-func TestDuplicateInsertRejected(t *testing.T) {
-	pool := newPool(t, 256, 16)
-	tr, _ := New(pool, 1)
-	if err := tr.Insert(elem(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Insert(elem(5)); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("duplicate insert err = %v, want ErrDuplicate", err)
-	}
-	bad := elem(9)
-	bad.DocID = 2
-	if err := tr.Insert(bad); err == nil {
-		t.Error("cross-DocID insert accepted")
-	}
-}
-
 func TestSeekGE(t *testing.T) {
 	pool := newPool(t, 256, 16)
-	tr, _ := New(pool, 1)
-	for i := 0; i < 100; i++ {
-		if err := tr.Insert(elem(uint32(i*10 + 5))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tr := bulk(t, pool, seq(100, 5, 10)...)
 	cases := []struct {
 		seek uint32
 		want uint32
@@ -144,10 +140,7 @@ func TestSeekGE(t *testing.T) {
 
 func TestPeekDoesNotConsume(t *testing.T) {
 	pool := newPool(t, 256, 16)
-	tr, _ := New(pool, 1)
-	for i := 1; i <= 50; i++ {
-		tr.Insert(elem(uint32(i * 3)))
-	}
+	tr := bulk(t, pool, seq(50, 3, 3)...)
 	it, err := tr.Scan(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -163,10 +156,7 @@ func TestPeekDoesNotConsume(t *testing.T) {
 
 func TestRange(t *testing.T) {
 	pool := newPool(t, 256, 16)
-	tr, _ := New(pool, 1)
-	for i := 1; i <= 200; i++ {
-		tr.Insert(elem(uint32(i)))
-	}
+	tr := bulk(t, pool, seq(200, 1, 1)...)
 	got, err := tr.Range(50, 60, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,121 +166,63 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestDeleteSimple(t *testing.T) {
-	pool := newPool(t, 256, 32)
-	tr, _ := New(pool, 1)
-	for i := 1; i <= 500; i++ {
-		if err := tr.Insert(elem(uint32(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i <= 500; i += 2 {
-		if err := tr.Delete(uint32(i)); err != nil {
-			t.Fatalf("Delete(%d): %v", i, err)
-		}
-	}
-	if tr.Len() != 250 {
-		t.Errorf("Len = %d, want 250", tr.Len())
-	}
-	for i := 1; i <= 500; i++ {
-		_, err := tr.Lookup(uint32(i), nil)
-		if i%2 == 1 && !errors.Is(err, ErrNotFound) {
-			t.Fatalf("Lookup(%d) after delete: %v", i, err)
-		}
-		if i%2 == 0 && err != nil {
-			t.Fatalf("Lookup(%d): %v", i, err)
-		}
-	}
-	if err := tr.Delete(1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Delete(missing) err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestDeleteAllShrinksTree(t *testing.T) {
-	pool := newPool(t, 256, 32)
-	tr, _ := New(pool, 1)
-	n := 300
-	for i := 1; i <= n; i++ {
-		tr.Insert(elem(uint32(i)))
-	}
-	hBefore := tr.Height()
-	if hBefore < 2 {
-		t.Fatalf("height %d too small for test", hBefore)
-	}
-	perm := rand.New(rand.NewSource(2)).Perm(n)
-	for _, k := range perm {
-		if err := tr.Delete(uint32(k + 1)); err != nil {
-			t.Fatalf("Delete(%d): %v", k+1, err)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d, want 0", tr.Len())
-	}
-	if tr.Height() != 1 {
-		t.Errorf("Height = %d after deleting all, want 1", tr.Height())
-	}
-	if got := collect(t, tr); len(got) != 0 {
-		t.Errorf("scan of empty tree returned %d elements", len(got))
-	}
-}
-
-// TestRandomizedAgainstModel runs a random op sequence against a map model.
+// TestRandomizedAgainstModel bulk-loads random key sets at random fill
+// factors and checks random point and range probes against the key set.
 func TestRandomizedAgainstModel(t *testing.T) {
 	for _, pageSize := range []int{256, 512} {
 		pool := newPool(t, pageSize, 64)
-		tr, err := New(pool, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(int64(pageSize)))
-		model := make(map[uint32]bool)
-		for op := 0; op < 6000; op++ {
-			k := uint32(rng.Intn(2000) + 1)
-			switch {
-			case rng.Intn(3) != 0: // insert
-				err := tr.Insert(elem(k))
-				if model[k] {
-					if !errors.Is(err, ErrDuplicate) {
-						t.Fatalf("op %d: duplicate insert err = %v", op, err)
-					}
-				} else {
-					if err != nil {
-						t.Fatalf("op %d: Insert(%d): %v", op, k, err)
-					}
-					model[k] = true
-				}
-			default: // delete
-				err := tr.Delete(k)
-				if model[k] {
-					if err != nil {
-						t.Fatalf("op %d: Delete(%d): %v", op, k, err)
-					}
-					delete(model, k)
-				} else if !errors.Is(err, ErrNotFound) {
-					t.Fatalf("op %d: Delete(missing %d) err = %v", op, k, err)
-				}
+		for round := 0; round < 20; round++ {
+			model := make(map[uint32]bool)
+			for i := rng.Intn(3000); i > 0; i-- {
+				model[uint32(rng.Intn(6000)+1)] = true
 			}
-			if op%500 == 0 {
-				verifyMatchesModel(t, tr, model)
+			keys := make([]uint32, 0, len(model))
+			for k := range model {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			es := make([]xmldoc.Element, len(keys))
+			for i, k := range keys {
+				es[i] = elem(k)
+			}
+			tr, err := New(pool, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.BulkLoad(es, 0.3+0.7*rng.Float64()); err != nil {
+				t.Fatalf("round %d: BulkLoad: %v", round, err)
+			}
+			verifyMatchesModel(t, tr, keys)
+			for probe := 0; probe < 200; probe++ {
+				k := uint32(rng.Intn(6002))
+				_, err := tr.Lookup(k, nil)
+				if model[k] != (err == nil) {
+					t.Fatalf("round %d: Lookup(%d) err = %v, model has it: %v", round, k, err, model[k])
+				}
+				i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
+				it, err := tr.SeekGE(k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, ok := it.Next()
+				it.Close()
+				if ok != (i < len(keys)) || (ok && e.Start != keys[i]) {
+					t.Fatalf("round %d: SeekGE(%d) = %d,%v", round, k, e.Start, ok)
+				}
 			}
 		}
-		verifyMatchesModel(t, tr, model)
 		if pool.PinnedCount() != 0 {
 			t.Errorf("leaked pins: %d", pool.PinnedCount())
 		}
 	}
 }
 
-func verifyMatchesModel(t *testing.T, tr *Tree, model map[uint32]bool) {
+func verifyMatchesModel(t *testing.T, tr *Tree, want []uint32) {
 	t.Helper()
-	if tr.Len() != len(model) {
-		t.Fatalf("Len = %d, model has %d", tr.Len(), len(model))
+	if tr.Len() != len(want) {
+		t.Fatalf("Len = %d, model has %d", tr.Len(), len(want))
 	}
-	want := make([]uint32, 0, len(model))
-	for k := range model {
-		want = append(want, k)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	got := collect(t, tr)
 	if len(got) != len(want) {
 		t.Fatalf("scan found %d, want %d", len(got), len(want))
@@ -302,38 +234,6 @@ func verifyMatchesModel(t *testing.T, tr *Tree, model map[uint32]bool) {
 	}
 }
 
-func TestBulkLoadMatchesInserts(t *testing.T) {
-	pool := newPool(t, 512, 64)
-	n := 3000
-	es := make([]xmldoc.Element, n)
-	for i := range es {
-		es[i] = elem(uint32(i*2 + 1))
-	}
-	tr, _ := New(pool, 1)
-	if err := tr.BulkLoad(es, 1.0); err != nil {
-		t.Fatalf("BulkLoad: %v", err)
-	}
-	if tr.Len() != n {
-		t.Errorf("Len = %d, want %d", tr.Len(), n)
-	}
-	got := collect(t, tr)
-	for i := range es {
-		if got[i] != es[i] {
-			t.Fatalf("element %d mismatch: %v vs %v", i, got[i], es[i])
-		}
-	}
-	// Bulk-loaded tree must still accept updates.
-	if err := tr.Insert(elem(4)); err != nil {
-		t.Fatalf("Insert after BulkLoad: %v", err)
-	}
-	if err := tr.Delete(1); err != nil {
-		t.Fatalf("Delete after BulkLoad: %v", err)
-	}
-	if _, err := tr.Lookup(4, nil); err != nil {
-		t.Errorf("Lookup(4): %v", err)
-	}
-}
-
 func TestBulkLoadErrors(t *testing.T) {
 	pool := newPool(t, 256, 16)
 	tr, _ := New(pool, 1)
@@ -341,8 +241,11 @@ func TestBulkLoadErrors(t *testing.T) {
 	if err := tr.BulkLoad(unsorted, 1.0); err == nil {
 		t.Error("BulkLoad accepted unsorted input")
 	}
-	tr2, _ := New(pool, 1)
-	tr2.Insert(elem(1))
+	dup, _ := New(pool, 1)
+	if err := dup.BulkLoad([]xmldoc.Element{elem(5), elem(5)}, 1.0); err == nil {
+		t.Error("BulkLoad accepted a duplicate start")
+	}
+	tr2 := bulk(t, pool, 1)
 	if err := tr2.BulkLoad([]xmldoc.Element{elem(9)}, 1.0); err == nil {
 		t.Error("BulkLoad into non-empty tree accepted")
 	}
@@ -354,15 +257,13 @@ func TestBulkLoadErrors(t *testing.T) {
 
 func TestBulkLoadPartialFill(t *testing.T) {
 	pool := newPool(t, 512, 64)
-	es := make([]xmldoc.Element, 1000)
-	for i := range es {
-		es[i] = elem(uint32(i + 1))
-	}
-	full, _ := New(pool, 1)
-	if err := full.BulkLoad(es, 1.0); err != nil {
-		t.Fatal(err)
-	}
+	keys := seq(1000, 1, 1)
+	full := bulk(t, pool, keys...)
 	half, _ := New(pool, 1)
+	es := make([]xmldoc.Element, len(keys))
+	for i, k := range keys {
+		es[i] = elem(k)
+	}
 	if err := half.BulkLoad(es, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -370,17 +271,21 @@ func TestBulkLoadPartialFill(t *testing.T) {
 	if len(got) != 1000 {
 		t.Fatalf("half-fill scan found %d", len(got))
 	}
+	if half.Height() < full.Height() {
+		t.Errorf("half-fill height %d below packed height %d", half.Height(), full.Height())
+	}
 }
 
 func TestOpenReattaches(t *testing.T) {
 	pool := newPool(t, 256, 32)
 	tr, _ := New(pool, 42)
-	for i := 1; i <= 100; i++ {
-		e := elem(uint32(i))
-		e.DocID = 42
-		if err := tr.Insert(e); err != nil {
-			t.Fatal(err)
-		}
+	es := make([]xmldoc.Element, 100)
+	for i := range es {
+		es[i] = elem(uint32(i + 1))
+		es[i].DocID = 42
+	}
+	if err := tr.BulkLoad(es, 1.0); err != nil {
+		t.Fatal(err)
 	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -392,19 +297,14 @@ func TestOpenReattaches(t *testing.T) {
 	if tr2.Len() != 100 || tr2.DocID() != 42 || tr2.Height() != tr.Height() {
 		t.Errorf("reopened tree: len=%d docID=%d h=%d", tr2.Len(), tr2.DocID(), tr2.Height())
 	}
-	if _, err := tr2.Lookup(50, nil); err != nil {
-		t.Errorf("Lookup after Open: %v", err)
+	if e, err := tr2.Lookup(50, nil); err != nil || e.DocID != 42 {
+		t.Errorf("Lookup after Open: %v, %v", e, err)
 	}
 }
 
 func TestCountersAttributeCosts(t *testing.T) {
 	pool := newPool(t, 256, 64)
-	tr, _ := New(pool, 1)
-	es := make([]xmldoc.Element, 1000)
-	for i := range es {
-		es[i] = elem(uint32(i + 1))
-	}
-	tr.BulkLoad(es, 1.0)
+	tr := bulk(t, pool, seq(1000, 1, 1)...)
 
 	var c metrics.Counters
 	it, err := tr.SeekGE(500, &c)
@@ -422,31 +322,5 @@ func TestCountersAttributeCosts(t *testing.T) {
 	}
 	if c.IndexNodeReads == 0 {
 		t.Error("IndexNodeReads = 0, want > 0 for SeekGE descent")
-	}
-}
-
-// TestSequentialAndReverseInsert covers the classic split-pattern edge cases.
-func TestSequentialAndReverseInsert(t *testing.T) {
-	for name, order := range map[string]func(i, n int) uint32{
-		"ascending":  func(i, n int) uint32 { return uint32(i + 1) },
-		"descending": func(i, n int) uint32 { return uint32(n - i) },
-	} {
-		pool := newPool(t, 256, 64)
-		tr, _ := New(pool, 1)
-		n := 1000
-		for i := 0; i < n; i++ {
-			if err := tr.Insert(elem(order(i, n))); err != nil {
-				t.Fatalf("%s Insert %d: %v", name, i, err)
-			}
-		}
-		got := collect(t, tr)
-		if len(got) != n {
-			t.Fatalf("%s: scan found %d", name, len(got))
-		}
-		for i := range got {
-			if got[i].Start != uint32(i+1) {
-				t.Fatalf("%s: scan[%d] = %d", name, i, got[i].Start)
-			}
-		}
 	}
 }

@@ -29,18 +29,14 @@ func putPageBuf(b []byte) {
 	}
 }
 
-// readPage copies page id into buf under its shared page latch, so the
-// copy cannot be torn by a concurrent writer mutating the frame.
+// readPage copies page id into buf. A published tree is never written,
+// so the copy needs no page latch.
 func (t *Tree) readPage(id pagefile.PageID, buf []byte, c *metrics.Counters) error {
-	t.pl.RLock(id)
-	err := t.pool.FetchCopyTraced(id, buf, c.TraceSink())
-	t.pl.RUnlock(id)
-	return err
+	return t.pool.FetchCopyTraced(id, buf, c.TraceSink())
 }
 
 // Lookup returns the element whose start equals key, or ErrNotFound, with
-// costs attributed to c (nil discards them). Safe for concurrent readers
-// and concurrent writers: the descent takes no tree-wide latch.
+// costs attributed to c (nil discards them). Safe for concurrent readers.
 func (t *Tree) Lookup(key uint32, c *metrics.Counters) (xmldoc.Element, error) {
 	buf := getPageBuf(t.pool.File().PageSize())
 	defer putPageBuf(buf)
@@ -58,57 +54,32 @@ func (t *Tree) Lookup(key uint32, c *metrics.Counters) (xmldoc.Element, error) {
 }
 
 // descendToLeafCopy walks from the root to the leaf covering key, copying
-// each visited page into buf under its shared page latch; on return buf
-// holds the leaf. This is the B-link descent: it holds one page latch at
-// a time, never a tree latch, and recovers from concurrent splits by
-// following right links whenever key is at or beyond a page's high key —
-// including at the leaf level, where a stale parent may have sent us to a
-// freshly split left half. The root snapshot may be stale (a concurrent
-// root growth is invisible); that is safe because the old root still
-// reaches every key through right links.
+// each visited page into buf; on return buf holds the leaf.
 func (t *Tree) descendToLeafCopy(key uint32, c *metrics.Counters, buf []byte) error {
-	id, h := t.loadRoot()
-	//xrvet:bounded root-to-leaf descent: h levels plus one right move per
-	// concurrent split outrunning us; cancellation is polled per right move.
-	for {
+	id := t.root
+	//xrvet:bounded root-to-leaf descent, at most height iterations
+	for level := t.height; ; level-- {
 		if err := t.readPage(id, buf, c); err != nil {
 			return err
 		}
 		if isLeaf(buf) {
-			if moveRight(leafHigh(buf), leafNext(buf), key) {
-				if err := c.Interrupted(); err != nil {
-					return err
-				}
-				addLeaf(c)
-				id = leafNext(buf)
-				continue
-			}
 			addLeaf(c)
-			c.Emit(obs.EvIndexDescend, int64(h))
+			c.Emit(obs.EvIndexDescend, int64(t.height))
 			return nil
 		}
-		if buf[0] != internalType {
-			return fmt.Errorf("%w: page %d is neither leaf nor internal", ErrCorrupt, id)
+		if buf[0] != internalType || level <= 1 {
+			return fmt.Errorf("%w: page %d at height %d is not an internal page", ErrCorrupt, id, level)
 		}
 		addNode(c)
-		if moveRight(intHigh(buf), intNext(buf), key) {
-			if err := c.Interrupted(); err != nil {
-				return err
-			}
-			id = intNext(buf)
-			continue
-		}
 		id = intChild(buf, intSearch(buf, key))
 	}
 }
 
 // Iterator walks leaf entries in ascending start order. It owns a private
-// copy of the current leaf, so it holds no pin and no latch between calls:
-// any number of iterators — including several on one tree within a single
-// goroutine, as self-joins do — coexist with each other and with point
-// queries. A scan that races a concurrent Delete's page merge may observe a
-// recycled page; that is detected (ErrCorrupt) rather than latched away,
-// keeping iterators deadlock-free. Close returns the page copy to a pool.
+// copy of the current leaf, so it holds no pin between calls: any number
+// of iterators — including several on one tree within a single goroutine,
+// as self-joins do — coexist with each other and with point queries.
+// Close returns the page copy to a pool.
 type Iterator struct {
 	t    *Tree
 	c    *metrics.Counters
@@ -185,7 +156,7 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 }
 
 // advancePage replaces the iterator's leaf copy with the next leaf on the
-// chain, latching the next page for the hop.
+// chain.
 func (it *Iterator) advancePage() bool {
 	next := leafNext(it.buf)
 	if next == pagefile.InvalidPage {
@@ -203,8 +174,7 @@ func (it *Iterator) advancePage() bool {
 		return false
 	}
 	if !isLeaf(it.buf) {
-		// The page was merged away and recycled between hops.
-		it.err = fmt.Errorf("%w: leaf chain broken at page %d by a concurrent structural change", ErrCorrupt, next)
+		it.err = fmt.Errorf("%w: leaf chain broken at page %d", ErrCorrupt, next)
 		return false
 	}
 	t.hintNextLeaf(it.c, it.buf)

@@ -622,3 +622,62 @@ func TestBulkLoadPartialFill(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertBatch checks Insert's batch contract: a batch that fails
+// validation leaves the tree untouched and unmarked, an accepted batch
+// lands whole, and the mutated bit persists through Open.
+func TestInsertBatch(t *testing.T) {
+	pool := newPool(t, 512, 64)
+	es := genNested(rand.New(rand.NewSource(7)), 400, 6)
+	var base, extra []xmldoc.Element
+	for i, e := range es {
+		if i%2 == 0 {
+			base = append(base, e)
+		} else {
+			extra = append(extra, e)
+		}
+	}
+	tr, err := New(pool, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BulkLoad(base, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	other := extra[0]
+	other.DocID = 2
+	over := extra[:tr.MaxBatch()+1]
+	for name, bad := range map[string][]xmldoc.Element{
+		"start already indexed": {extra[0], base[3]},
+		"start twice in batch":  {extra[0], extra[1], extra[0]},
+		"degenerate region":     {extra[0], {DocID: 1, Start: 9, End: 9}},
+		"foreign DocID":         {extra[1], other},
+		"over MaxBatch":         over,
+	} {
+		if err := tr.Insert(bad...); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		if tr.Len() != len(base) || tr.Mutated() {
+			t.Fatalf("%s: refused batch changed the tree: Len %d, mutated %v", name, tr.Len(), tr.Mutated())
+		}
+	}
+	if err := tr.Insert(over...); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("over-cap batch: err = %v, want ErrBatchTooLarge", err)
+	}
+	if err := tr.Insert(extra[2], extra[0], extra[1]); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(base)+3 || !tr.Mutated() {
+		t.Fatalf("after a 3-element batch: Len %d, mutated %v", tr.Len(), tr.Mutated())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(pool, tr.Meta(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !re.Mutated() || re.Len() != tr.Len() {
+		t.Errorf("reopened: mutated %v, Len %d, want true, %d", re.Mutated(), re.Len(), tr.Len())
+	}
+}

@@ -41,6 +41,7 @@ func (t *Tree) Delete(start uint32) (err error) {
 	}
 	commit := t.beginTx()
 	defer commit(&err)
+	t.mutated.Store(true)
 	found := false
 	root, h := t.loadRoot()
 	t.c.Emit(obs.EvIndexDescend, int64(h))

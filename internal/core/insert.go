@@ -18,7 +18,10 @@ package core
 // left node and installs its right link and high key.
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"xrtree/internal/obs"
 	"xrtree/internal/pagefile"
@@ -61,20 +64,72 @@ func writeIntEntry(data []byte, i int, e intEntryMem) {
 	putU32(b[16:], uint32(e.psl))
 }
 
-// Insert adds e to the tree, maintaining every stab-list invariant.
-func (t *Tree) Insert(e xmldoc.Element) (err error) {
-	if e.DocID != t.docID {
-		return fmt.Errorf("xrtree: insert of DocID %d into tree for DocID %d", e.DocID, t.docID)
+// MaxBatch is the largest batch Insert accepts. A logged batch holds
+// every page it touches, no-steal, until its one commit. Without splits,
+// n inserts share the root and the meta page and each touches at most
+// h−1 further path pages and one stab page: n·h+2 frames for a tree of
+// height h. The cap keeps that within half of the pool, leaving the
+// other half to concurrent readers and other trees. Splits add a few
+// pages each but are rare: one per half a leaf of inserts.
+func (t *Tree) MaxBatch() int {
+	_, h := t.loadRoot()
+	return max(1, (t.pool.Capacity()/2-2)/h)
+}
+
+// Insert adds the elements of es to the tree as one batch, maintaining
+// every stab-list invariant: one write-latch hold, one WAL transaction
+// and one commit. The whole batch is validated before any page is
+// touched — DocID, a non-degenerate region, a start unique within the
+// batch and absent from the tree, and at most MaxBatch elements — so a
+// rejected batch leaves the tree unchanged. Either every element is
+// committed or, after a crash, none is.
+func (t *Tree) Insert(es ...xmldoc.Element) (err error) {
+	if len(es) == 0 {
+		return nil
 	}
-	if e.End <= e.Start {
-		return fmt.Errorf("xrtree: degenerate region %v", e)
+	batch := slices.Clone(es)
+	slices.SortFunc(batch, func(a, b xmldoc.Element) int { return cmp.Compare(a.Start, b.Start) })
+	for i, e := range batch {
+		if e.DocID != t.docID {
+			return fmt.Errorf("xrtree: insert of DocID %d into tree for DocID %d", e.DocID, t.docID)
+		}
+		if e.End <= e.Start {
+			return fmt.Errorf("xrtree: degenerate region %v", e)
+		}
+		if i > 0 && batch[i-1].Start == e.Start {
+			return fmt.Errorf("%w: start %d twice in one batch", ErrDuplicate, e.Start)
+		}
 	}
 	t.wlatch.Lock()
 	defer t.wlatch.Unlock()
+	if n := t.MaxBatch(); len(batch) > n {
+		return fmt.Errorf("%w: %d elements, at most %d", ErrBatchTooLarge, len(batch), n)
+	}
+	for _, e := range batch {
+		if _, err := t.lookupWriter(e.Start, nil); err == nil {
+			return fmt.Errorf("%w: start %d", ErrDuplicate, e.Start)
+		} else if !errors.Is(err, ErrNotFound) {
+			return err
+		}
+	}
 	defer t.endStabMove()
 	defer t.debugPinBalance()()
 	commit := t.beginTx()
 	defer commit(&err)
+	t.mutated.Store(true)
+	for _, e := range batch {
+		if err := t.insertOne(e); err != nil {
+			return err
+		}
+	}
+	if err := t.syncMeta(); err != nil {
+		return err
+	}
+	return t.debugPostMutation()
+}
+
+// insertOne inserts e inside the caller's write latch and transaction.
+func (t *Tree) insertOne(e xmldoc.Element) error {
 	root, h := t.loadRoot()
 	t.c.Emit(obs.EvIndexDescend, int64(h))
 	res, err := t.insertInto(root, h, e, false)
@@ -109,10 +164,7 @@ func (t *Tree) Insert(e xmldoc.Element) (err error) {
 		t.setRoot(newRootID, h+1)
 	}
 	t.count.Add(1)
-	if err := t.syncMeta(); err != nil {
-		return err
-	}
-	return t.debugPostMutation()
+	return nil
 }
 
 // insertInto inserts e under page id at the given height (1 = leaf). homed

@@ -43,6 +43,7 @@ func (t *Tree) fetchStabTraced(id pagefile.PageID, tr obs.Tracer) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
+	t.debugPinned(nil, 1)
 	if data[0] != stabType {
 		t.unpin(id, false)
 		return nil, fmt.Errorf("%w: page %d is not a stab page", ErrCorrupt, id)

@@ -70,6 +70,8 @@ import (
 //	0: magic u32 | 4: root u32 | 8: height u32 | 12: count u32 | 16: docID u32
 //	20: stabCount u32 (elements currently held in stab lists)
 //	24: stabPages u32 (stab-list pages currently allocated)
+//	28: flags u32; bit 0 = mutated (an Insert or Delete has committed
+//	    since the bulk load)
 //
 // Leaf page (identical to the B+-tree backbone):
 //
@@ -97,7 +99,8 @@ import (
 //	    key u32 | start u32 | end u32 | ref u32 | level u16 | pad u16
 //	    sorted by (key, start) across the whole chain.
 const (
-	metaMagic = 0x58525431 // "XRT1"
+	metaMagic       = 0x58525431 // "XRT1"
+	metaFlagMutated = 1
 
 	leafType     = 1
 	internalType = 3
@@ -127,9 +130,10 @@ const (
 
 // Errors returned by the XR-tree.
 var (
-	ErrNotFound  = errors.New("xrtree: element not found")
-	ErrDuplicate = errors.New("xrtree: duplicate start key")
-	ErrCorrupt   = errors.New("xrtree: corrupt page")
+	ErrNotFound      = errors.New("xrtree: element not found")
+	ErrDuplicate     = errors.New("xrtree: duplicate start key")
+	ErrCorrupt       = errors.New("xrtree: corrupt page")
+	ErrBatchTooLarge = errors.New("xrtree: insert batch exceeds MaxBatch")
 )
 
 // Options tunes tree construction.
@@ -160,6 +164,12 @@ type Tree struct {
 	// StabStats can read them concurrently.
 	stabCount atomic.Int64 // elements in stab lists
 	stabPages atomic.Int64 // allocated stab-list pages
+
+	// mutated is set by the first Insert or Delete and persisted in the
+	// meta page by that transaction's syncMeta: from then on the tree's
+	// contents may differ from the bulk-load input the set's other access
+	// paths were built from.
+	mutated atomic.Bool
 
 	leafCap int
 	intCap  int
@@ -198,13 +208,11 @@ type Tree struct {
 	// check (see debug.go). Guarded by wlatch.
 	debugOps int
 
-	// debugReadEpoch counts reader sections that pin pool frames;
-	// debugReadActive counts those currently in flight. Only the
-	// xrtreedebug pin ledger reads them: the global pinned-frame balance
-	// is attributable to a writer only when no reader overlapped its
-	// bracket (see debugPinBalance).
-	debugReadEpoch  atomic.Int64
-	debugReadActive atomic.Int64
+	// debugPins is the net number of pins taken through the writer-side
+	// page wrappers below (and fetchStab). Only the xrtreedebug pin
+	// ledger reads it (see debugPinBalance); readers never use those
+	// wrappers, so the count is this tree's writer's alone.
+	debugPins atomic.Int64
 
 	// tx is the WAL transaction of the mutation in flight, nil outside one
 	// (and always nil when the pool has no log attached). Guarded by
@@ -252,19 +260,27 @@ func (t *Tree) setRoot(id pagefile.PageID, h int) {
 // load, stores without a log) they are the plain pool calls.
 
 func (t *Tree) fetch(id pagefile.PageID) ([]byte, error) {
-	return t.pool.FetchHeld(t.tx, id)
+	data, err := t.pool.FetchHeld(t.tx, id)
+	t.debugPinned(err, 1)
+	return data, err
 }
 
 func (t *Tree) fetchNew() (pagefile.PageID, []byte, error) {
-	return t.pool.FetchNewHeld(t.tx)
+	id, data, err := t.pool.FetchNewHeld(t.tx)
+	t.debugPinned(err, 1)
+	return id, data, err
 }
 
 func (t *Tree) unpin(id pagefile.PageID, dirty bool) error {
-	return t.pool.UnpinTx(t.tx, id, dirty)
+	err := t.pool.UnpinTx(t.tx, id, dirty)
+	t.debugPinned(err, -1)
+	return err
 }
 
 func (t *Tree) discard(id pagefile.PageID) error {
-	return t.pool.DiscardTx(t.tx, id)
+	err := t.pool.DiscardTx(t.tx, id)
+	t.debugPinned(err, -1)
+	return err
 }
 
 func (t *Tree) free(id pagefile.PageID) error {
@@ -331,6 +347,7 @@ func Open(pool *bufferpool.Pool, meta pagefile.PageID, opts Options) (*Tree, err
 	t.docID = getU32(data[16:])
 	t.stabCount.Store(int64(getU32(data[20:])))
 	t.stabPages.Store(int64(getU32(data[24:])))
+	t.mutated.Store(getU32(data[28:])&metaFlagMutated != 0)
 	return t, nil
 }
 
@@ -352,6 +369,11 @@ func (t *Tree) writeMeta(data []byte) {
 	putU32(data[16:], t.docID)
 	putU32(data[20:], uint32(t.stabCount.Load()))
 	putU32(data[24:], uint32(t.stabPages.Load()))
+	var flags uint32
+	if t.mutated.Load() {
+		flags |= metaFlagMutated
+	}
+	putU32(data[28:], flags)
 }
 
 func (t *Tree) syncMeta() error {
@@ -374,6 +396,10 @@ func (t *Tree) Height() int { _, h := t.loadRoot(); return h }
 
 // DocID returns the document id of the indexed element set.
 func (t *Tree) DocID() uint32 { return t.docID }
+
+// Mutated reports whether an Insert or Delete has committed since the
+// bulk load. The bit is persisted, so it survives reopening and WAL redo.
+func (t *Tree) Mutated() bool { return t.mutated.Load() }
 
 // StabStats returns the number of elements currently held in stab lists and
 // the number of stab-list pages allocated — the quantities measured by the

@@ -740,13 +740,15 @@ type insertResponse struct {
 const maxInsertBody = 1 << 20
 
 // handleInsert adds elements to a catalogued set's XR-tree:
-// POST /api/v1/insert?backend=&set= with an insertRequest body. Inserts
-// run concurrently with joins and queries over the same set — the tree's
-// per-page latching keeps readers flowing during splits — and are
-// admission-controlled like every query, so ingest load competes for the
-// same execution slots the limiter meters. Inserted elements are visible
-// to the XR-tree access path (xr joins, FindAncestors probes); the set's
-// catalogued element list and B+-tree are not updated.
+// POST /api/v1/insert?backend=&set= with an insertRequest body. The body
+// is one batch: one XR-tree Insert call, one WAL commit. A batch that
+// fails validation (bad DocID or region, a start repeated in the batch or
+// already present, more than the tree's MaxBatch elements) gets a 400 and
+// inserts nothing. Inserts run concurrently with joins and queries over
+// the same set — the tree's per-page latching keeps readers flowing
+// during splits — and are admission-controlled like every query, so
+// ingest load competes for the same execution slots the limiter meters.
+// Every join algorithm sees the inserted elements (see xrtree.Join).
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	if s.coord != nil {
 		return badRequest("the router does not accept inserts; POST to the shard that owns the document")
@@ -781,33 +783,27 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest("set %q was built without an XR-tree access path", tag)
 	}
-	docID := set.Elements()[0].DocID
 	tr := traceFrom(r.Context())
 	if tr != nil {
 		span := tr.Root().StartSpan(fmt.Sprintf("insert %d elements into %s", len(req.Elements), tag))
 		defer span.End()
 	}
-	ctx := r.Context()
+	if err := r.Context().Err(); err != nil {
+		return err
+	}
+	for i := range req.Elements {
+		if req.Elements[i].DocID == 0 {
+			req.Elements[i].DocID = xr.DocID()
+		}
+	}
 	start := time.Now()
-	inserted := 0
-	for _, e := range req.Elements {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if e.DocID == 0 {
-			e.DocID = docID
-		}
-		if err := xr.Insert(e); err != nil {
-			// Earlier elements of the batch stay inserted; the count in the
-			// error lets the client account for them.
-			return badRequest("element %d of %d: %v", inserted+1, len(req.Elements), err)
-		}
-		inserted++
+	if err := xr.Insert(req.Elements...); err != nil {
+		return badRequest("batch of %d elements not inserted: %v", len(req.Elements), err)
 	}
 	writeJSON(w, http.StatusOK, insertResponse{
 		Backend:   b.name,
 		Set:       tag,
-		Inserted:  inserted,
+		Inserted:  len(req.Elements),
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
 	return nil

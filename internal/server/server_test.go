@@ -301,6 +301,72 @@ func TestInsertEndpoint(t *testing.T) {
 	}
 }
 
+// TestInsertBatchIsAtomic holds POST /api/v1/insert to one batch per
+// request: a batch with a bad element, or more elements than the tree's
+// MaxBatch, is refused with a 400 and none of it reaches the set.
+func TestInsertBatchIsAtomic(t *testing.T) {
+	s, st := storeServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	emps, err := st.OpenSet("employee")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xr, err := emps.XRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := func() int64 {
+		t.Helper()
+		var jr joinResponse
+		code, body := getJSON(t, ts, "/api/v1/join?anc=employee&desc=name&alg=xr", &jr)
+		if code != http.StatusOK {
+			t.Fatalf("join: status %d: %s", code, body)
+		}
+		return jr.Pairs
+	}
+	before, n := pairs(), xr.Len()
+
+	// A wide employee far above the corpus, then a duplicate of an
+	// indexed employee's start.
+	const base = uint32(1) << 30
+	wide := xrtree.Element{Start: base, End: base + 1000, Level: 1}
+	dup := emps.Elements()[0]
+	code, body := postJSON(t, ts, "/api/v1/insert", insertRequest{Set: "employee", Elements: []xrtree.Element{wide, dup}}, nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("batch with a duplicate start: status %d, want 400 (%s)", code, body)
+	}
+
+	// One more than the cap, all fresh: refused whole.
+	over := make([]xrtree.Element, xr.MaxBatch()+1)
+	for i := range over {
+		over[i] = xrtree.Element{Start: base + 2000 + 4*uint32(i), End: base + 2002 + 4*uint32(i), Level: 1}
+	}
+	code, body = postJSON(t, ts, "/api/v1/insert", insertRequest{Set: "employee", Elements: over}, nil)
+	if code != http.StatusBadRequest || !strings.Contains(body, "MaxBatch") {
+		t.Fatalf("over-cap batch of %d: status %d, want 400 naming MaxBatch (%s)", len(over), code, body)
+	}
+	again, err := st.OpenSet("employee")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Len(); got != n {
+		t.Fatalf("refused batches changed the set: %d elements, want %d", got, n)
+	}
+
+	// A name inside the wide employee's region joins with it only if the
+	// refused batch leaked it into the tree.
+	name := xrtree.Element{Start: base + 4, End: base + 6, Level: 2}
+	var ins insertResponse
+	code, body = postJSON(t, ts, "/api/v1/insert", insertRequest{Set: "name", Elements: []xrtree.Element{name}}, &ins)
+	if code != http.StatusOK || ins.Inserted != 1 {
+		t.Fatalf("name insert: status %d: %s", code, body)
+	}
+	if got := pairs(); got != before {
+		t.Fatalf("employee//name = %d pairs after the refused batches, want %d", got, before)
+	}
+}
+
 func TestInsertRequiresStoreBackend(t *testing.T) {
 	s, _, _ := docServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

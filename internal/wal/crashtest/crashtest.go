@@ -8,8 +8,8 @@ import (
 	"sort"
 
 	"xrtree"
-	"xrtree/internal/btree"
 	"xrtree/internal/core"
+	"xrtree/internal/join"
 	"xrtree/internal/xmldoc"
 )
 
@@ -17,7 +17,9 @@ import (
 type Config struct {
 	// Seed drives the workload and the document shape deterministically.
 	Seed int64
-	// Ops is the number of insert/delete transactions attempted.
+	// Ops is the number of rounds of the mutation stream; each round is a
+	// single-element insert or delete followed by a multi-element insert
+	// batch, two transactions.
 	Ops int
 	// KillAfter is the log-byte budget before the injected crash; ≤ 0
 	// runs the workload to completion and closes cleanly instead (the
@@ -53,17 +55,19 @@ type Result struct {
 
 const setName = "crashset"
 
-// op is one mutation of one tree.
+// op is one transaction on the tree: a delete of one element, or an
+// insert of a batch of elements.
 type op struct {
 	insert bool
-	e      xmldoc.Element
+	es     []xmldoc.Element
 }
 
-// model tracks the committed contents of one tree plus the single
-// operation whose acknowledgment the crash swallowed.
+// model tracks the committed contents of the tree plus the single
+// transaction whose acknowledgment the crash swallowed.
 type model struct {
-	present map[uint32]xmldoc.Element
-	pending *op // in flight at the crash: atomically applied or not
+	present   map[uint32]xmldoc.Element
+	committed int // transactions acknowledged
+	pending   *op // in flight at the crash: atomically applied or not
 }
 
 func newModel(es []xmldoc.Element) *model {
@@ -75,30 +79,32 @@ func newModel(es []xmldoc.Element) *model {
 }
 
 func (m *model) apply(o op) {
-	if o.insert {
-		m.present[o.e.Start] = o.e
-	} else {
-		delete(m.present, o.e.Start)
+	for _, e := range o.es {
+		if o.insert {
+			m.present[e.Start] = e
+		} else {
+			delete(m.present, e.Start)
+		}
 	}
 }
 
 // verify compares a reopened tree's scan against the model: the committed
-// state must match exactly, except that the pending operation may or may
-// not have applied (commit is atomic, so nothing in between).
-func (m *model) verify(kind string, got []xmldoc.Element) error {
+// state must match exactly, except that the pending transaction may have
+// applied — entirely, never in part (commit is atomic).
+func (m *model) verify(got []xmldoc.Element) error {
 	if m.matches(got) {
 		return nil
 	}
 	if m.pending != nil {
 		m.apply(*m.pending)
 		ok := m.matches(got)
-		m.apply(op{insert: !m.pending.insert, e: m.pending.e}) // undo
+		m.apply(op{insert: !m.pending.insert, es: m.pending.es}) // undo
 		if ok {
 			return nil
 		}
 	}
-	return fmt.Errorf("crashtest: %s diverged from committed state: %d elements on disk, %d committed (pending: %+v)",
-		kind, len(got), len(m.present), m.pending)
+	return fmt.Errorf("crashtest: xr-tree diverged from committed state: %d elements on disk, %d committed (pending: %+v)",
+		len(got), len(m.present), m.pending)
 }
 
 func (m *model) matches(got []xmldoc.Element) bool {
@@ -182,19 +188,19 @@ func Run(dir string, cfg Config) (Result, error) {
 	}
 	path := filepath.Join(dir, "store.db")
 
-	xrModel, btModel, err := workload(path, opts, cfg, rng, base, extra, cfs, &res)
+	m, err := workload(path, opts, cfg, rng, base, extra, cfs, &res)
 	if err != nil {
 		return res, err
 	}
-	return res, reverify(path, cfg, xrModel, btModel, &res)
+	return res, reverify(path, cfg, m, &res)
 }
 
 // workload builds the store, runs the mutation stream until it finishes
 // or the log dies, and abandons (or cleanly closes) the store. The
-// returned models are nil when the crash hit before the initial save —
+// returned model is nil when the crash hit before the initial save —
 // nothing was acknowledged, so there is nothing to hold recovery to.
 func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
-	base, extra []xmldoc.Element, cfs *FS, res *Result) (*model, *model, error) {
+	base, extra []xmldoc.Element, cfs *FS, res *Result) (*model, error) {
 
 	crashed := func(err error) bool { return cfs != nil && cfs.Crashed() && err != nil }
 
@@ -204,12 +210,14 @@ func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
 			// The budget died inside the first segment header: the log
 			// never started, nothing was acknowledged.
 			res.Crashed = true
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("crashtest: create store: %w", err)
+		return nil, fmt.Errorf("crashtest: create store: %w", err)
 	}
 
-	set, err := store.IndexElements(base, xrtree.IndexOptions{SkipList: true})
+	// All three access paths, so the reopened set can be joined by the
+	// no-index and B+ algorithms as well as by XR-stack.
+	set, err := store.IndexElements(base, xrtree.IndexOptions{})
 	if err == nil {
 		err = store.SaveSet(setName, set)
 	}
@@ -217,71 +225,68 @@ func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
 		store.Abandon()
 		if crashed(err) {
 			res.Crashed = true
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("crashtest: setup: %w", err)
+		return nil, fmt.Errorf("crashtest: setup: %w", err)
 	}
 
 	xr, err := set.XRTree()
 	if err != nil {
 		store.Abandon()
-		return nil, nil, err
-	}
-	bt, err := set.BTree()
-	if err != nil {
-		store.Abandon()
-		return nil, nil, err
+		return nil, err
 	}
 
-	xrModel := newModel(base)
-	btModel := newModel(base)
-
-	// The mutation stream: each op is applied to both trees (two separate
-	// transactions), with delete victims drawn from the committed state.
+	m := newModel(base)
+	// The mutation stream: each round is one single-element insert or
+	// delete, then one batch of two or three inserts. Delete victims come
+	// from the committed state and return to the insert pool.
 	inPool := append([]xmldoc.Element(nil), extra...)
+	take := func() xmldoc.Element {
+		j := rng.Intn(len(inPool))
+		e := inPool[j]
+		inPool[j] = inPool[len(inPool)-1]
+		inPool = inPool[:len(inPool)-1]
+		return e
+	}
 	for i := 0; i < cfg.Ops; i++ {
-		var o op
-		if len(inPool) > 0 && (len(xrModel.present) < 8 || rng.Intn(2) == 0) {
-			j := rng.Intn(len(inPool))
-			o = op{insert: true, e: inPool[j]}
-			inPool[j] = inPool[len(inPool)-1]
-			inPool = inPool[:len(inPool)-1]
+		var single op
+		if len(inPool) > 0 && (len(m.present) < 8 || rng.Intn(2) == 0) {
+			single = op{insert: true, es: []xmldoc.Element{take()}}
 		} else {
-			starts := make([]uint32, 0, len(xrModel.present))
-			for s := range xrModel.present {
+			starts := make([]uint32, 0, len(m.present))
+			for s := range m.present {
 				starts = append(starts, s)
 			}
 			sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
-			o = op{insert: false, e: xrModel.present[starts[rng.Intn(len(starts))]]}
+			victim := m.present[starts[rng.Intn(len(starts))]]
+			single = op{insert: false, es: []xmldoc.Element{victim}}
+			inPool = append(inPool, victim)
+		}
+		batch := op{insert: true}
+		for k := 2 + rng.Intn(2); k > 0 && len(inPool) > 0; k-- {
+			batch.es = append(batch.es, take())
 		}
 
-		for _, tree := range []struct {
-			m  *model
-			do func() error
-		}{
-			{xrModel, func() error {
-				if o.insert {
-					return xr.Insert(o.e)
-				}
-				return xr.Delete(o.e.Start)
-			}},
-			{btModel, func() error {
-				if o.insert {
-					return bt.Insert(o.e)
-				}
-				return bt.Delete(o.e.Start)
-			}},
-		} {
-			if err := tree.do(); err != nil {
+		for _, o := range []op{single, batch} {
+			if len(o.es) == 0 {
+				continue
+			}
+			if o.insert {
+				err = xr.Insert(o.es...)
+			} else {
+				err = xr.Delete(o.es[0].Start)
+			}
+			if err != nil {
 				store.Abandon()
 				if crashed(err) {
 					res.Crashed = true
-					tree.m.pending = &o
-					return xrModel, btModel, nil
+					m.pending = &o
+					return m, nil
 				}
-				return nil, nil, fmt.Errorf("crashtest: op %d: %w", i, err)
+				return nil, fmt.Errorf("crashtest: round %d: %w", i, err)
 			}
-			tree.m.apply(o)
+			m.apply(o)
+			m.committed++
 			res.Committed++
 		}
 	}
@@ -293,19 +298,19 @@ func workload(path string, opts xrtree.StoreOptions, cfg Config, rng *rand.Rand,
 		// Budget never hit: crash at the end instead of closing.
 		res.Crashed = cfs.Crashed()
 		store.Abandon()
-		return xrModel, btModel, nil
+		return m, nil
 	}
 	if err := store.Close(); err != nil {
-		return nil, nil, fmt.Errorf("crashtest: clean close: %w", err)
+		return nil, fmt.Errorf("crashtest: clean close: %w", err)
 	}
-	return xrModel, btModel, nil
+	return m, nil
 }
 
-// reverify reopens the store, lets recovery redo the log, and checks both
-// trees against their models and the XR-tree against Definition 4. It
-// then closes cleanly and reopens once more, verifying that the clean
-// path replays nothing.
-func reverify(path string, cfg Config, xrModel, btModel *model, res *Result) error {
+// reverify reopens the store, lets recovery redo the log, and checks the
+// tree against its model and Definition 4 and the join algorithms
+// against each other. It then closes cleanly and reopens once more,
+// verifying that the clean path replays nothing.
+func reverify(path string, cfg Config, m *model, res *Result) error {
 	opts := xrtree.StoreOptions{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages, WAL: true}
 	store, err := xrtree.OpenStore(path, opts)
 	if err != nil {
@@ -314,7 +319,7 @@ func reverify(path string, cfg Config, xrModel, btModel *model, res *Result) err
 	if rep := store.Recovery(); rep != nil {
 		res.Report = *rep
 	}
-	if err := checkStore(store, xrModel, btModel); err != nil {
+	if err := checkStore(store, m); err != nil {
 		store.Abandon()
 		return err
 	}
@@ -331,16 +336,16 @@ func reverify(path string, cfg Config, xrModel, btModel *model, res *Result) err
 	if rep := store.Recovery(); rep == nil || rep.Replayed() {
 		return fmt.Errorf("crashtest: clean shutdown not honored: report %+v", rep)
 	}
-	return checkStore(store, xrModel, btModel)
+	return checkStore(store, m)
 }
 
-// checkStore verifies one opened store against the models. Nil models
-// mean the crash predated the save: any consistent catalog state is
+// checkStore verifies one opened store against the model. A nil model
+// means the crash predated the save: any consistent catalog state is
 // acceptable, including no catalog entry at all.
-func checkStore(store *xrtree.Store, xrModel, btModel *model) error {
+func checkStore(store *xrtree.Store, m *model) error {
 	set, err := store.OpenSet(setName)
 	if err != nil {
-		if xrModel == nil && (errors.Is(err, xrtree.ErrUnknownSet) || errors.Is(err, xrtree.ErrNoCatalog)) {
+		if m == nil && (errors.Is(err, xrtree.ErrUnknownSet) || errors.Is(err, xrtree.ErrNoCatalog)) {
 			return nil
 		}
 		return fmt.Errorf("crashtest: open set: %w", err)
@@ -353,50 +358,56 @@ func checkStore(store *xrtree.Store, xrModel, btModel *model) error {
 	if err := xr.CheckInvariants(); err != nil {
 		return fmt.Errorf("crashtest: Definition 4 violated after recovery: %w", err)
 	}
-	if xrModel != nil {
-		got, err := scanXR(xr)
-		if err != nil {
-			return err
-		}
-		if err := xrModel.verify("xr-tree", got); err != nil {
-			return err
-		}
-	}
-
-	bt, err := set.BTree()
+	got, err := scanXR(xr)
 	if err != nil {
 		return err
 	}
-	if btModel != nil {
-		got, err := scanBT(bt)
-		if err != nil {
+	if m != nil {
+		if err := m.verify(got); err != nil {
 			return err
 		}
-		if err := btModel.verify("b+tree", got); err != nil {
-			return err
+		if m.committed > 0 && !xr.Mutated() {
+			return fmt.Errorf("crashtest: %d transactions committed but the mutated bit was lost", m.committed)
+		}
+	}
+	return checkJoins(set, got)
+}
+
+// checkJoins self-joins the reopened set with XR-stack, no-index and B+
+// and holds each to the reference join over the tree's contents. On a
+// mutated set no-index and B+ must read the XR-tree, not the stale
+// bulk-loaded list and B+-tree, so this also proves the persisted
+// mutated bit.
+func checkJoins(set *xrtree.ElementSet, es []xmldoc.Element) error {
+	want := join.Reference(join.AncestorDescendant, es, es)
+	byDesc := func(ps []join.Pair) {
+		sort.Slice(ps, func(i, j int) bool {
+			if ps[i].D.Start != ps[j].D.Start {
+				return ps[i].D.Start < ps[j].D.Start
+			}
+			return ps[i].A.Start < ps[j].A.Start
+		})
+	}
+	byDesc(want)
+	for _, alg := range []xrtree.Algorithm{xrtree.AlgXRStack, xrtree.AlgNoIndex, xrtree.AlgBPlus} {
+		got, err := xrtree.JoinPairs(alg, xrtree.AncestorDescendant, set, set, nil)
+		if err != nil {
+			return fmt.Errorf("crashtest: %v join after recovery: %w", alg, err)
+		}
+		byDesc(got)
+		if len(got) != len(want) {
+			return fmt.Errorf("crashtest: %v join after recovery: %d pairs, want %d", alg, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("crashtest: %v join after recovery: pair %d = %v, want %v", alg, i, got[i], want[i])
+			}
 		}
 	}
 	return nil
 }
 
 func scanXR(t *core.Tree) ([]xmldoc.Element, error) {
-	it, err := t.Scan(nil)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []xmldoc.Element
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out, it.Err()
-}
-
-func scanBT(t *btree.Tree) ([]xmldoc.Element, error) {
 	it, err := t.Scan(nil)
 	if err != nil {
 		return nil, err

@@ -147,7 +147,7 @@ func RunUpdateCostStudy(seed int64, sizes []int) ([]UpdateStudyRow, error) {
 			return nil, err
 		}
 		set, err := store.IndexElements(els, IndexOptions{
-			SkipList: true, SkipBTree: true, InsertBuild: false,
+			SkipList: true, SkipBTree: true,
 		})
 		if err != nil {
 			store.Close()

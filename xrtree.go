@@ -286,9 +286,6 @@ type IndexOptions struct {
 	SkipXRTree bool
 	// Fill is the bulk-load page occupancy in (0,1]; 0 means packed.
 	Fill float64
-	// InsertBuild builds the XR-tree by repeated insertion instead of bulk
-	// loading (exercises the dynamic maintenance path of §4).
-	InsertBuild bool
 	// DisableKeyChoice turns off the §3.2 separator optimization (ablation).
 	DisableKeyChoice bool
 }
@@ -315,7 +312,7 @@ func (e *ElementSet) siblingSource() (join.SiblingListSource, error) {
 }
 
 // ErrNoAccessPath is returned when a join algorithm needs an access path
-// the set was built without.
+// the set was built without, or one that updates have left stale.
 var ErrNoAccessPath = errors.New("xrtree: element set lacks the required access path")
 
 // IndexElements stores es (start-sorted, one document) and builds the
@@ -343,25 +340,56 @@ func (s *Store) IndexElements(es []Element, opts IndexOptions) (*ElementSet, err
 		if set.xr, err = core.New(s.pool, es[0].DocID, core.Options{DisableKeyChoice: opts.DisableKeyChoice}); err != nil {
 			return nil, err
 		}
-		if opts.InsertBuild {
-			for _, e := range es {
-				if err := set.xr.Insert(e); err != nil {
-					return nil, fmt.Errorf("xrtree: XR-tree insert: %w", err)
-				}
-			}
-		} else if err := set.xr.BulkLoad(es, opts.Fill); err != nil {
+		if err := set.xr.BulkLoad(es, opts.Fill); err != nil {
 			return nil, fmt.Errorf("xrtree: XR-tree build: %w", err)
 		}
 	}
 	return set, nil
 }
 
-// Len returns the number of elements in the set.
-func (e *ElementSet) Len() int { return len(e.els) }
+// Len returns the number of elements in the set: the XR-tree's live
+// count when the set has one, so it reflects every update.
+func (e *ElementSet) Len() int {
+	if e.xr != nil {
+		return e.xr.Len()
+	}
+	return len(e.els)
+}
 
-// Elements returns the underlying start-sorted element slice (shared; do
-// not modify).
+// Elements returns the start-sorted elements the set was built from
+// (shared; do not modify). Updates through XRTree do not change it; scan
+// the XR-tree for the live contents.
 func (e *ElementSet) Elements() []Element { return e.els }
+
+// mutated reports whether the set's XR-tree has taken an update since the
+// bulk load, leaving the list, the B+-tree and Elements stale.
+func (e *ElementSet) mutated() bool { return e.xr != nil && e.xr.Mutated() }
+
+// scanSource is the set's sequential access path for the no-index join:
+// the packed list, or the XR-tree's leaf chain once the set is mutated.
+// Nil when the set has neither.
+func (e *ElementSet) scanSource() join.Source {
+	if e.mutated() {
+		return join.XRTreeSource{T: e.xr}
+	}
+	if e.list == nil {
+		return nil
+	}
+	return join.ListSource{L: e.list}
+}
+
+// seeker is the set's start-keyed index for the B+ join: the B+-tree, or
+// the XR-tree backbone once the set is mutated. Nil when the set has
+// neither.
+func (e *ElementSet) seeker() join.Seeker {
+	if e.mutated() {
+		return join.XRTreeSource{T: e.xr}
+	}
+	if e.bt == nil {
+		return nil
+	}
+	return join.BTreeSource{T: e.bt}
+}
 
 // List exposes the set's paged element list — the sequential access path
 // the no-index algorithms scan. Its iterator publishes windowed readahead
@@ -373,8 +401,8 @@ func (e *ElementSet) List() (*elemlist.List, error) {
 	return e.list, nil
 }
 
-// BTree exposes the set's B+-tree baseline for direct use of its lookup,
-// scan, and update operations.
+// BTree exposes the set's bulk-loaded B+-tree baseline for direct use of
+// its lookup and scan operations. It reflects the build input only.
 func (e *ElementSet) BTree() (*btree.Tree, error) {
 	if e.bt == nil {
 		return nil, ErrNoAccessPath
@@ -384,7 +412,9 @@ func (e *ElementSet) BTree() (*btree.Tree, error) {
 
 // XRTree exposes the set's XR-tree for direct use of the §5.1 operations
 // (FindAncestors, FindDescendants, FindParent, FindChildren) and the §4
-// update operations (Insert, Delete).
+// update operations (Insert, Delete). The XR-tree is the set's only
+// mutable access path: once it has been updated, Join answers no-index
+// and B+ from it and refuses MPMGJN and B+sp (see Join).
 func (e *ElementSet) XRTree() (*core.Tree, error) {
 	if e.xr == nil {
 		return nil, ErrNoAccessPath
@@ -478,26 +508,38 @@ type Pair = join.Pair
 // Join runs the structural join between ancestor set a and descendant set d
 // with the chosen algorithm, streaming result pairs to emit and accounting
 // costs into st (both may be nil).
+//
+// A set whose XR-tree has been updated (Insert or Delete) answers from its
+// current contents: no-index scans the XR-tree's leaf chain and B+ seeks
+// on its backbone, in place of the bulk-loaded list and B+-tree. MPMGJN and B+sp need the rewindable list and its sibling
+// table, which updates leave stale, so on such a set they return an error
+// wrapping ErrNoAccessPath. Sets never updated keep the paper's access
+// paths and costs.
 func Join(alg Algorithm, mode Mode, a, d *ElementSet, emit EmitFunc, st *Stats) error {
 	if emit == nil {
 		emit = func(Element, Element) {}
 	}
+	if (alg == AlgMPMGJN || alg == AlgBPlusSP) && (a.mutated() || d.mutated()) {
+		return fmt.Errorf("%w: %v reads the bulk-loaded list, which XR-tree updates left stale", ErrNoAccessPath, alg)
+	}
 	switch alg {
 	case AlgNoIndex:
-		if a.list == nil || d.list == nil {
+		as, ds := a.scanSource(), d.scanSource()
+		if as == nil || ds == nil {
 			return ErrNoAccessPath
 		}
-		return join.StackTreeDesc(mode, join.ListSource{L: a.list}, join.ListSource{L: d.list}, emit, st)
+		return join.StackTreeDesc(mode, as, ds, emit, st)
 	case AlgMPMGJN:
 		if a.list == nil || d.list == nil {
 			return ErrNoAccessPath
 		}
 		return join.MPMGJN(mode, join.ListSource{L: a.list}, join.ListSource{L: d.list}, emit, st)
 	case AlgBPlus:
-		if a.bt == nil || d.bt == nil {
+		as, ds := a.seeker(), d.seeker()
+		if as == nil || ds == nil {
 			return ErrNoAccessPath
 		}
-		return join.BPlus(mode, join.BTreeSource{T: a.bt}, join.BTreeSource{T: d.bt}, emit, st)
+		return join.BPlus(mode, as, ds, emit, st)
 	case AlgBPlusSP:
 		if a.list == nil || d.bt == nil {
 			return ErrNoAccessPath

@@ -191,9 +191,20 @@ func TestInsertBuildEqualsBulkLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := store.IndexElements(els, xrtree.IndexOptions{SkipList: true, SkipBTree: true, InsertBuild: true})
+	// The insert-built twin starts from one bulk-loaded element and takes
+	// the rest through the §4 insert path, one element at a time.
+	ins, err := store.IndexElements(els[:1], xrtree.IndexOptions{SkipList: true, SkipBTree: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	ix, _ := ins.XRTree()
+	for _, e := range els[1:] {
+		if err := ix.Insert(e); err != nil {
+			t.Fatalf("Insert(%v): %v", e, err)
+		}
+	}
+	if ins.Len() != len(els) {
+		t.Errorf("insert-built Len = %d, want %d", ins.Len(), len(els))
 	}
 	probes := doc.ElementsByTag("name")
 	if len(probes) > 50 {
@@ -213,7 +224,6 @@ func TestInsertBuildEqualsBulkLoad(t *testing.T) {
 		}
 	}
 	bx, _ := bulk.XRTree()
-	ix, _ := ins.XRTree()
 	if err := bx.CheckInvariants(); err != nil {
 		t.Errorf("bulk invariants: %v", err)
 	}
