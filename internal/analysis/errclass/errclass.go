@@ -71,26 +71,20 @@ func run(pass *analysis.Pass) (any, error) {
 		summaries: map[types.Object]summary{},
 		escapes:   analysis.CommentLines(pass.Fset, pass.Files, "//xrvet:errclass-ok"),
 	}
-	for range 4 {
-		c.changed = false
-		c.forEachFunc(func(body *ast.BlockStmt, ftype *ast.FuncType, obj types.Object) {
-			s, _ := c.classifyFunc(body, ftype)
-			if obj == nil {
-				return
-			}
-			if old := c.summaries[obj]; s != old && old == sumUnknown {
-				c.summaries[obj] = s
-				c.changed = true
-			}
-		})
-		if !c.changed {
-			break
+	fns := analysis.Funcs(pass, true)
+	// A summary is set once, when it first becomes known.
+	analysis.Fixpoint(fns, func(fn analysis.Func) bool {
+		s, _ := c.classifyFunc(fn.Body, fn.Type)
+		if fn.Obj == nil || s == sumUnknown || c.summaries[fn.Obj] != sumUnknown {
+			return false
 		}
-	}
-	c.report = true
-	c.forEachFunc(func(body *ast.BlockStmt, ftype *ast.FuncType, obj types.Object) {
-		c.classifyFunc(body, ftype)
+		c.summaries[fn.Obj] = s
+		return true
 	})
+	c.report = true
+	for _, fn := range fns {
+		c.classifyFunc(fn.Body, fn.Type)
+	}
 	return nil, nil
 }
 
@@ -98,24 +92,7 @@ type checker struct {
 	pass      *analysis.Pass
 	summaries map[types.Object]summary
 	escapes   map[analysis.LineKey]string
-	changed   bool
 	report    bool
-}
-
-func (c *checker) forEachFunc(fn func(*ast.BlockStmt, *ast.FuncType, types.Object)) {
-	for _, f := range c.pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch d := n.(type) {
-			case *ast.FuncDecl:
-				if d.Body != nil {
-					fn(d.Body, d.Type, c.pass.TypesInfo.Defs[d.Name])
-				}
-			case *ast.FuncLit:
-				fn(d.Body, d.Type, nil)
-			}
-			return true
-		})
-	}
 }
 
 // classifyFunc classifies every error-position return in the body and,
@@ -233,12 +210,14 @@ func (c *checker) classifyCall(call *ast.CallExpr) kind {
 	if isShardType(c.pass.TypesInfo.TypeOf(call)) {
 		return shardK // classify(...) and friends: static result type *ShardError
 	}
-	if pkg, name := stdCallee(c.pass.TypesInfo, call); pkg != "" {
-		if (pkg == "fmt" && name == "Errorf") || (pkg == "errors" && (name == "New" || name == "Join")) {
+	obj := analysis.CalleeObj(c.pass.TypesInfo, call)
+	if obj != nil && obj.Pkg() != nil {
+		switch obj.Pkg().Path() + "." + obj.Name() {
+		case "fmt.Errorf", "errors.New", "errors.Join":
 			return nakedK
 		}
 	}
-	switch c.summaries[c.calleeObj(call)] {
+	switch c.summaries[obj] {
 	case sumClean:
 		return shardK
 	case sumNaked:
@@ -277,11 +256,7 @@ func (c *checker) classifyVar(body *ast.BlockStmt, id *ast.Ident) kind {
 				if !ok {
 					continue
 				}
-				lobj := c.pass.TypesInfo.Defs[lid]
-				if lobj == nil {
-					lobj = c.pass.TypesInfo.Uses[lid]
-				}
-				if lobj != obj {
+				if analysis.ObjOf(c.pass.TypesInfo, lid) != obj {
 					continue
 				}
 				if len(n.Rhs) == len(n.Lhs) {
@@ -363,31 +338,4 @@ func errResultIndexes(info *types.Info, ftype *ast.FuncType) []int {
 		}
 	}
 	return out
-}
-
-// stdCallee resolves pkg.Fn calls on an imported package (fmt.Errorf,
-// errors.New).
-func stdCallee(info *types.Info, call *ast.CallExpr) (pkg, name string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", ""
-	}
-	if pn, ok := info.Uses[x].(*types.PkgName); ok {
-		return pn.Imported().Path(), sel.Sel.Name
-	}
-	return "", ""
-}
-
-func (c *checker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
 }

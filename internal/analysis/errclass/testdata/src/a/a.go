@@ -131,3 +131,19 @@ func (c *Coordinator) badBare(shard string) error {
 	}
 	return classify(shard, errUnavailable)
 }
+
+// badDeepChain precedes naked5..naked1, a naked-error helper chain
+// declared outermost first, so each round of summaries resolves one more
+// level of it.
+func (c *Coordinator) badDeepChain(shard string) error {
+	if _, err := c.exec(shard); err != nil {
+		return err
+	}
+	return naked5() // want `error crossing the shard boundary is not a \*ShardError`
+}
+
+func naked5() error { return naked4() }
+func naked4() error { return naked3() }
+func naked3() error { return naked2() }
+func naked2() error { return naked1() }
+func naked1() error { return fmt.Errorf("a: deep") }

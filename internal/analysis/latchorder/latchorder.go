@@ -147,49 +147,32 @@ func run(pass *analysis.Pass) (any, error) {
 		summaries: map[types.Object]summary{},
 		ignore:    analysis.CommentLines(pass.Fset, pass.Files, "//xrvet:latchorder-ignore"),
 	}
-	// Fixpoint: derive a lock summary for every same-package function
-	// from the locks its body acquires and the summaries of the functions
-	// it calls. Both components are monotone (level only decreases, right
-	// only decays true→false), so the iteration terminates.
-	for {
-		changed := false
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				s := c.bodySummary(fn.Body)
-				obj := pass.TypesInfo.Defs[fn.Name]
-				if obj == nil || s.level == 0 {
-					continue
-				}
-				old, seen := c.summaries[obj]
-				if !seen || s.level < old.level || (old.right && !s.right) {
-					if seen && s.level > old.level {
-						s.level = old.level
-					}
-					if seen && !old.right {
-						s.right = false
-					}
-					c.summaries[obj] = s
-					changed = true
-				}
-			}
+	decls := analysis.Funcs(pass, false)
+	// Derive a lock summary for every same-package function from the
+	// locks its body acquires and the summaries of the functions it calls.
+	// Both components are monotone (level only decreases, right only
+	// decays true→false).
+	analysis.Fixpoint(decls, func(fn analysis.Func) bool {
+		s := c.bodySummary(fn.Body)
+		if fn.Obj == nil || s.level == 0 {
+			return false
 		}
-		if !changed {
-			break
+		old, seen := c.summaries[fn.Obj]
+		if seen && s.level >= old.level && (s.right || !old.right) {
+			return false
 		}
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || analysis.Annotated(pass.Fset, c.ignore, fn.Pos()) {
-				continue
-			}
-			// The function that *implements* a lock acquisition is where
-			// the classified Lock call lives; it is checked like any
-			// other, which also validates the pool's own internals.
+		if seen {
+			s.level = min(s.level, old.level)
+			s.right = s.right && old.right
+		}
+		c.summaries[fn.Obj] = s
+		return true
+	})
+	for _, fn := range decls {
+		// The function that *implements* a lock acquisition is where the
+		// classified Lock call lives; it is checked like any other, which
+		// also validates the pool's own internals.
+		if !analysis.Annotated(pass.Fset, c.ignore, fn.Decl.Pos()) {
 			c.walk(fn.Body.List, nil)
 		}
 	}
@@ -295,14 +278,7 @@ func (c *checker) callSummary(call *ast.CallExpr) summary {
 			}
 		}
 	}
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	if s, ok := c.summaries[obj]; ok {
+	if s, ok := c.summaries[analysis.CalleeObj(c.pass.TypesInfo, call)]; ok {
 		return s
 	}
 	return summary{}

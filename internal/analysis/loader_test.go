@@ -49,11 +49,13 @@ func TestBrokenImportFatal(t *testing.T) {
 // cache: miss before Put, hit after, clean runs distinguishable from
 // absent entries, and source edits changing the key.
 func TestCacheRoundTrip(t *testing.T) {
-	t.Setenv("XDG_CACHE_HOME", t.TempDir())
 	l, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
+	// Redirect the cache only now: set before NewLoader, it would also move
+	// GOCACHE, and `go list -export` would rebuild the whole module.
+	t.Setenv("XDG_CACHE_HOME", t.TempDir())
 	c, err := analysis.OpenCache(l)
 	if err != nil {
 		t.Fatalf("OpenCache: %v", err)

@@ -289,3 +289,63 @@ func badSwitch(p *Pool, id PageID, k int) error {
 	}
 	return p.Unpin(id, false)
 }
+
+// ---- guard forms, aliases and jumps ----
+
+// goodErrNilGuard uses the err == nil guard form: the pin exists only on
+// the then side, so the else side owes nothing.
+func goodErrNilGuard(p *Pool, id PageID) byte {
+	data, err := p.Fetch(id)
+	if err == nil {
+		defer p.Unpin(id, false)
+		return data[0]
+	}
+	return 0
+}
+
+func badErrNilGuard(p *Pool, id PageID) error {
+	data, err := p.Fetch(id)
+	if err == nil {
+		use(data[0])
+		return nil // want `pin leak: id fetched at line \d+ is still pinned on this return path`
+	}
+	return err
+}
+
+type cursor struct{ data []byte }
+
+// goodDataAlias hands the pinned bytes to a longer-lived holder, which
+// now owns the release.
+func goodDataAlias(p *Pool, c *cursor, id PageID) error {
+	data, err := p.Fetch(id)
+	if err != nil {
+		return err
+	}
+	c.data = data
+	return nil
+}
+
+// badIDAlias copies only the page id: bookkeeping, not a hand-off.
+func badIDAlias(p *Pool, id PageID) PageID {
+	_, err := p.Fetch(id)
+	if err != nil {
+		return invalid
+	}
+	saved := id
+	return saved // want `pin leak: id fetched at line \d+ is still pinned on this return path`
+}
+
+// gotoAbandons: a goto ends analysis of its path (jumps are not
+// followed), while the other return path is still checked.
+func gotoAbandons(p *Pool, id PageID, retry bool) error {
+	_, err := p.Fetch(id)
+	if err != nil {
+		return err
+	}
+	if retry {
+		goto out
+	}
+	return nil // want `pin leak: id fetched at line \d+ is still pinned on this return path`
+out:
+	return p.Unpin(id, false)
+}

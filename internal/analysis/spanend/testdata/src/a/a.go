@@ -147,3 +147,76 @@ func badOverwrite(c *Counters) {
 	sp = c.StartSpan("second") // want `span leak: sp is overwritten while still unended \(started at line \d+\)`
 	sp.End()
 }
+
+// ---- aliases, captures, blanks and jumps ----
+
+// goodAliasEnd moves the obligation to a same-typed alias, which ends it.
+func goodAliasEnd(c *Counters) error {
+	sp := c.StartSpan("alias")
+	sp2 := sp
+	if err := work(); err != nil {
+		sp2.End()
+		return err
+	}
+	sp2.End()
+	return nil
+}
+
+func badAlias(c *Counters) error {
+	sp := c.StartSpan("alias")
+	sp2 := sp
+	if err := work(); err != nil {
+		return err // want `span leak: sp2 started at line \d+ is not ended on this return path`
+	}
+	sp2.End()
+	return nil
+}
+
+// goodClosureCapture hands the span to a closure, which owns its End.
+func goodClosureCapture(c *Counters, run func(func())) {
+	sp := c.StartSpan("task")
+	run(func() {
+		defer sp.End()
+		work()
+	})
+}
+
+func badDiscardBlank(c *Counters) {
+	_ = c.StartSpan("blank") // want `span leak: started span from c.StartSpan is discarded`
+}
+
+func badDiscardBlankWrapper(c *Counters) int {
+	_, n := routerTrace(c) // want `span leak: started span from routerTrace is discarded`
+	return n
+}
+
+// gotoAbandons: a goto ends analysis of its path (jumps are not
+// followed), while the other return path is still checked.
+func gotoAbandons(c *Counters, retry bool) error {
+	sp := c.StartSpan("jump")
+	if retry {
+		goto out
+	}
+	return work() // want `span leak: sp started at line \d+ is not ended on this return path`
+out:
+	sp.End()
+	return nil
+}
+
+// badDeepWrapper precedes span5..span1, a span-returning wrapper chain
+// declared outermost first, so each round of wrapper discovery resolves
+// one more level of it.
+func badDeepWrapper(c *Counters) error {
+	sp := span5(c)
+	if err := work(); err != nil {
+		return err // want `span leak: sp started at line \d+ is not ended on this return path`
+	}
+	sp.End()
+	return nil
+}
+
+func span5(c *Counters) *Span { return span4(c) }
+func span4(c *Counters) *Span { return span3(c) }
+func span3(c *Counters) *Span { return span2(c) }
+func span2(c *Counters) *Span { return span1(c) }
+func span1(c *Counters) *Span { return c.StartSpan("deep") }

@@ -117,3 +117,79 @@ func Annotation(fset *token.FileSet, lines map[LineKey]string, pos token.Pos) (s
 	reason, ok := lines[LineKey{File: p.Filename, Line: p.Line - 1}]
 	return reason, ok
 }
+
+// CalleeObj returns the object a call invokes by name: the function or
+// method for f(...) and x.f(...), the variable for a call through a
+// function value, nil for any other callee expression.
+func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return info.Uses[fun]
+	case *ast.SelectorExpr:
+		return info.Uses[fun.Sel]
+	}
+	return nil
+}
+
+// ObjOf returns the object an identifier expression uses or defines, and
+// nil for any other expression.
+func ObjOf(info *types.Info, e ast.Expr) types.Object {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// Same-package summaries ----------------------------------------------------
+
+// Func is one function body of a package: a declaration or a literal.
+type Func struct {
+	Decl *ast.FuncDecl // the declaration; for a literal, the enclosing one or nil
+	Type *ast.FuncType
+	Body *ast.BlockStmt
+	Obj  types.Object // the declared function; nil for a literal
+}
+
+// Funcs lists the function declarations with bodies in the pass's files,
+// and with lits the function literals too, in source order.
+func Funcs(pass *Pass, lits bool) []Func {
+	var out []Func
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, _ := d.(*ast.FuncDecl)
+			if fd != nil && fd.Body != nil {
+				out = append(out, Func{Decl: fd, Type: fd.Type, Body: fd.Body, Obj: pass.TypesInfo.Defs[fd.Name]})
+			}
+			if !lits {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					out = append(out, Func{Decl: fd, Type: lit.Type, Body: lit.Body})
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// Fixpoint sweeps summarize over fns until a whole sweep changes nothing.
+// Every analyzer's same-package call summaries run on it (pin and span
+// wrappers, transaction openers, error classes, lock levels). Each
+// summary only ever moves one way, so helper chains of any depth
+// converge.
+func Fixpoint(fns []Func, summarize func(Func) (changed bool)) {
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range fns {
+			if summarize(fn) {
+				changed = true
+			}
+		}
+	}
+}

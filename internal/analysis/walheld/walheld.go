@@ -63,18 +63,15 @@ func run(pass *analysis.Pass) (any, error) {
 		inTx:     map[types.Object]bool{},
 		unlogged: analysis.CommentLines(pass.Fset, pass.Files, "//xrvet:unlogged"),
 	}
-	// Fixpoint: discover transaction openers (and the position their Tx
-	// opens at), then functions called from in-Tx code, until nothing
-	// changes. Opener positions only move earlier and the in-Tx set only
-	// grows, so this terminates.
-	for {
-		c.changed = false
-		c.scanAll(false)
-		if !c.changed {
-			break
-		}
+	decls := analysis.Funcs(pass, false)
+	// Discover transaction openers (and the position their Tx opens at),
+	// then functions called from in-Tx code. Opener positions only move
+	// earlier and the in-Tx set only grows.
+	analysis.Fixpoint(decls, c.scanFunc)
+	c.report = true
+	for _, fn := range decls {
+		c.scanFunc(fn)
 	}
-	c.scanAll(true)
 	return nil, nil
 }
 
@@ -86,23 +83,13 @@ type checker struct {
 	// inTx marks functions wholly in-Tx: called from in-Tx code.
 	inTx     map[types.Object]bool
 	unlogged map[analysis.LineKey]string
-	changed  bool
+	report   bool
 }
 
-func (c *checker) scanAll(report bool) {
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			c.scanFunc(fn, report)
-		}
-	}
-}
-
-func (c *checker) scanFunc(fn *ast.FuncDecl, report bool) {
-	obj := c.pass.TypesInfo.Defs[fn.Name]
+// scanFunc scans one declaration and reports whether it changed a
+// summary.
+func (c *checker) scanFunc(fn analysis.Func) (changed bool) {
+	obj := fn.Obj
 	// start is the position from which this body is in-Tx; NoPos when the
 	// function never runs inside a transaction. Updated in source order as
 	// opener calls are encountered.
@@ -119,7 +106,7 @@ func (c *checker) scanFunc(fn *ast.FuncDecl, report bool) {
 		if !ok {
 			return true
 		}
-		callee := c.calleeObj(call)
+		callee := analysis.CalleeObj(c.pass.TypesInfo, call)
 		opens := analysis.IsMethodCall(c.pass.TypesInfo, call, "Pool", "Begin")
 		if !opens && callee != nil {
 			_, opens = c.openAt[callee]
@@ -128,7 +115,7 @@ func (c *checker) scanFunc(fn *ast.FuncDecl, report bool) {
 			if obj != nil {
 				if old, ok := c.openAt[obj]; !ok || call.End() < old {
 					c.openAt[obj] = call.End()
-					c.changed = true
+					changed = true
 				}
 			}
 			if !start.IsValid() || call.End() < start {
@@ -139,13 +126,14 @@ func (c *checker) scanFunc(fn *ast.FuncDecl, report bool) {
 		inTxHere := start.IsValid() && call.Pos() >= start
 		if inTxHere && callee != nil && callee.Pkg() == c.pass.Pkg && !c.inTx[callee] {
 			c.inTx[callee] = true
-			c.changed = true
+			changed = true
 		}
-		if report && inTxHere {
-			c.checkFetch(fn, call)
+		if c.report && inTxHere {
+			c.checkFetch(fn.Decl, call)
 		}
 		return true
 	})
+	return changed
 }
 
 func (c *checker) checkFetch(fn *ast.FuncDecl, call *ast.CallExpr) {
@@ -171,14 +159,4 @@ func (c *checker) checkFetch(fn *ast.FuncDecl, call *ast.CallExpr) {
 	c.pass.Reportf(call.Pos(),
 		"unlogged page fetch in a mutation transaction: %s bypasses the held-frame protocol — use FetchHeld/FetchHeldTraced/FetchNewHeld so the commit logs the page's after-image, or annotate an audited bulk-build path with //xrvet:unlogged <reason>",
 		types.ExprString(call.Fun))
-}
-
-func (c *checker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
 }
