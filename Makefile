@@ -44,10 +44,10 @@ bench-smoke:
 
 # Storage-stack microbenchmarks (allocation counts are the regression
 # signal, hence -benchmem; -count=5 for a spread benchstat can consume):
-# the pool pin/unpin fast path, a full leaf-chain scan, and an XR-stack
-# join end to end.
+# the pool pin/unpin fast path, a full leaf-chain scan, and the XR-stack
+# and B+ joins end to end.
 microbench:
-	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin' \
+	$(GO) test -run XXX -bench 'BenchmarkPoolFetch|BenchmarkLeafChainScan|BenchmarkXRStackJoin|BenchmarkBPlusJoin' \
 		-benchmem -count=5 ./internal/bufferpool ./internal/elemlist ./internal/join
 
 # End-to-end smoke of the serving subsystem: boot xrserve on a temp

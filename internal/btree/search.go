@@ -10,8 +10,10 @@ import (
 	"xrtree/internal/xmldoc"
 )
 
-// pageBufs pools the per-iterator leaf-copy buffers; XR joins open
-// thousands of short-lived iterators, so Seek/Close must not allocate.
+// pageBufs pools the per-iterator leaf-copy buffers, so SeekGE allocates
+// only its small *Iterator and Close returns the page. Joins skip inside
+// the copy they hold (Iterator.SkipTo) and call SeekGE only for a target
+// beyond it.
 var pageBufs sync.Pool
 
 func getPageBuf(n int) []byte {
@@ -153,6 +155,24 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 	e := leafElem(it.buf, it.idx)
 	e.DocID = it.t.docID
 	return e, true
+}
+
+// SkipTo moves the iterator forward to the first element with start ≥ key
+// when the leaf copy it holds shows that SeekGE(key) would land there: the
+// element is at or after the current position and the entry before it
+// starts below key. It binary-searches the copy, counting no scan and no
+// node or leaf read. Otherwise it returns false and leaves the iterator
+// unchanged, and the caller seeks instead.
+func (it *Iterator) SkipTo(key uint32) bool {
+	if it.err != nil || it.done {
+		return false
+	}
+	j := leafSearchFrom(it.buf, it.idx, key)
+	if j == leafCount(it.buf) || j == 0 || leafKey(it.buf, j-1) >= key {
+		return false
+	}
+	it.idx = j
+	return true
 }
 
 // advancePage replaces the iterator's leaf copy with the next leaf on the

@@ -11,9 +11,10 @@ package core
 // only read when it holds at least one result — Theorem 4's O(log_F N + R).
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"xrtree/internal/metrics"
@@ -194,10 +195,13 @@ func (t *Tree) appendAncestorsOnce(dst []xmldoc.Element, sd uint32, minStart uin
 		return nil, err
 	}
 	// Only the appended tail needs ordering; dst's prefix is untouched.
-	tail := out[len(dst):]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Start < tail[j].Start })
+	// slices.SortFunc over a top-level comparison allocates nothing per
+	// probe; sort.Slice would allocate its closure and swapper.
+	slices.SortFunc(out[len(dst):], byStart)
 	return out, nil
 }
+
+func byStart(a, b xmldoc.Element) int { return cmp.Compare(a.Start, b.Start) }
 
 // searchStabList implements Algorithm 5 over the pinned node: with sd in
 // [k_i, k_{i+1}), only PSLs of keys ≤ k_{i+1} can hold stabbed elements,
@@ -305,9 +309,10 @@ func (t *Tree) FindParent(sd uint32, level uint16, c *metrics.Counters) (xmldoc.
 	return xmldoc.Element{}, false, nil
 }
 
-// pageBufs pools the per-iterator leaf-copy buffers; the XR-stack join
-// reopens its descendant iterator on every skip, so Seek/Close must not
-// allocate.
+// pageBufs pools the per-iterator leaf-copy buffers, so SeekGE allocates
+// only its small *Iterator and Close returns the page. Joins skip inside
+// the copy they hold (Iterator.SkipTo) and call SeekGE only for a target
+// beyond it.
 var pageBufs sync.Pool
 
 func getPageBuf(n int) []byte {
@@ -484,6 +489,24 @@ func (it *Iterator) Peek() (xmldoc.Element, bool) {
 	e, _ := leafElem(it.buf, it.idx)
 	e.DocID = it.t.docID
 	return e, true
+}
+
+// SkipTo moves the iterator forward to the first element with start ≥ key
+// when the leaf copy it holds shows that SeekGE(key) would land there: the
+// element is at or after the current position and the entry before it
+// starts below key. It binary-searches the copy, counting no scan and no
+// node or leaf read. Otherwise it returns false and leaves the iterator
+// unchanged, and the caller seeks instead.
+func (it *Iterator) SkipTo(key uint32) bool {
+	if it.err != nil || it.done {
+		return false
+	}
+	j := leafSearchFrom(it.buf, it.idx, key)
+	if j == leafCount(it.buf) || j == 0 || leafKey(it.buf, j-1) >= key {
+		return false
+	}
+	it.idx = j
+	return true
 }
 
 // advancePage replaces the iterator's leaf copy with the next leaf on the

@@ -510,8 +510,11 @@ func setLeafFlags(data []byte, i int, flags uint16) {
 }
 
 // leafSearch returns the index of the first entry with start ≥ key.
-func leafSearch(data []byte, key uint32) int {
-	lo, hi := 0, leafCount(data)
+func leafSearch(data []byte, key uint32) int { return leafSearchFrom(data, 0, key) }
+
+// leafSearchFrom is leafSearch over the entries from index lo on.
+func leafSearchFrom(data []byte, lo int, key uint32) int {
+	hi := leafCount(data)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if leafKey(data, mid) < key {

@@ -149,11 +149,7 @@ func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 				// matching the paper's B+ accounting.
 				countScan(c, 1)
 				c.Emit(obs.EvSkipAnc, int64(ca.cur.End+1)-int64(ca.cur.Start))
-				it, err := a.SeekGE(ca.cur.End+1, c)
-				if err != nil {
-					return err
-				}
-				if err := ca.replace(it); err != nil {
+				if err := ca.seek(a, ca.cur.End+1, c); err != nil {
 					return err
 				}
 			}
@@ -166,11 +162,7 @@ func BPlus(mode Mode, a, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 				// the examined boundary descendant counts as scanned.
 				countScan(c, 1)
 				c.Emit(obs.EvSkipDesc, int64(ca.cur.Start+1)-int64(cd.cur.Start))
-				it, err := d.SeekGE(ca.cur.Start+1, c)
-				if err != nil {
-					return err
-				}
-				if err := cd.replace(it); err != nil {
+				if err := cd.seek(d, ca.cur.Start+1, c); err != nil {
 					return err
 				}
 			}
@@ -193,7 +185,9 @@ func countScan(c *metrics.Counters, n int64) {
 // directly to the descendant's ancestors — skipping every non-matching
 // ancestor in between, which the B+ algorithm cannot do — then advances the
 // ancestor cursor past the descendant's start (line 12). Descendant
-// skipping (line 19) is the same range query B+ uses.
+// skipping (line 19) is the same range query B+ uses. Every skip goes
+// through cursor.seek, so it stays inside the leaf copy the cursor holds
+// when the target is there.
 func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Counters) error {
 	defer startTimer(c)()
 	ai, err := a.Scan(c)
@@ -252,11 +246,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 			// seek to ≥ so an element starting exactly at CurD.start (only
 			// possible in a self-join) stays visible as a future ancestor.
 			c.Emit(obs.EvSkipAnc, int64(cd.cur.Start)-int64(ca.cur.Start))
-			it, err := a.SeekGE(cd.cur.Start, c)
-			if err != nil {
-				return err
-			}
-			if err := ca.replace(it); err != nil {
+			if err := ca.seek(a, cd.cur.Start, c); err != nil {
 				return err
 			}
 			cd.advance()
@@ -277,11 +267,7 @@ func XRStack(mode Mode, a AncestorSeeker, d Seeker, emit EmitFunc, c *metrics.Co
 					// seek's root-to-leaf descent.
 					pd.PrefetchGE(ca.cur.Start+1, c)
 				}
-				it, err := d.SeekGE(ca.cur.Start+1, c)
-				if err != nil {
-					return err
-				}
-				if err := cd.replace(it); err != nil {
+				if err := cd.seek(d, ca.cur.Start+1, c); err != nil {
 					return err
 				}
 			}

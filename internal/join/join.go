@@ -184,6 +184,28 @@ func (c *cursor) replace(it Iterator) error {
 	return err
 }
 
+// skipper is an Iterator that can move forward inside the page it holds
+// (core.Iterator, btree.Iterator, the path-expression in-memory source).
+type skipper interface {
+	SkipTo(key uint32) bool
+}
+
+// seek positions the cursor at the first element with start ≥ key, a key
+// past the current element. A target inside the iterator's leaf copy is
+// reached by SkipTo, with no descent and no node read; only a target
+// beyond it opens a fresh SeekGE iterator. Neither counts a scan.
+func (c *cursor) seek(s Seeker, key uint32, mc *metrics.Counters) error {
+	if sk, ok := c.it.(skipper); ok && sk.SkipTo(key) {
+		c.cur, c.valid = c.it.Peek()
+		return nil
+	}
+	it, err := s.SeekGE(key, mc)
+	if err != nil {
+		return err
+	}
+	return c.replace(it)
+}
+
 func (c *cursor) close() error { return c.it.Close() }
 
 func (c *cursor) err() error { return c.it.Err() }

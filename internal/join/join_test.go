@@ -21,7 +21,7 @@ type fixture struct {
 	xr   XRTreeSource
 }
 
-func newPool(t *testing.T, pageSize, frames int) *bufferpool.Pool {
+func newPool(t testing.TB, pageSize, frames int) *bufferpool.Pool {
 	t.Helper()
 	f := pagefile.NewMem(pagefile.Options{PageSize: pageSize})
 	t.Cleanup(func() { f.Close() })
@@ -32,7 +32,7 @@ func newPool(t *testing.T, pageSize, frames int) *bufferpool.Pool {
 	return p
 }
 
-func buildFixture(t *testing.T, pool *bufferpool.Pool, es []xmldoc.Element) fixture {
+func buildFixture(t testing.TB, pool *bufferpool.Pool, es []xmldoc.Element) fixture {
 	t.Helper()
 	l, err := elemlist.Build(pool, es)
 	if err != nil {
@@ -214,22 +214,7 @@ func TestSkippingCounts(t *testing.T) {
 	// descendant joining. B+ cannot skip flat ancestors (Figure 7(b)) and
 	// degenerates toward the sequential scan, while XR-stack jumps straight
 	// to each descendant's ancestors.
-	var as, ds []xmldoc.Element
-	pos := uint32(1)
-	for i := 0; i < 2000; i++ {
-		start := pos
-		if i%20 == 0 {
-			// A joining ancestor containing 5 descendants.
-			pos++
-			for k := 0; k < 5; k++ {
-				ds = append(ds, xmldoc.Element{DocID: 1, Start: pos, End: pos + 1, Level: 3})
-				pos += 2
-			}
-		}
-		pos++
-		as = append(as, xmldoc.Element{DocID: 1, Start: start, End: pos, Level: 2})
-		pos++
-	}
+	as, ds := flatSets()
 	pool := newPool(t, 512, 512)
 	fa := buildFixture(t, pool, as)
 	fd := buildFixture(t, pool, ds)

@@ -488,6 +488,19 @@ func (it *memIterator) Peek() (xmldoc.Element, bool) {
 	return it.els[it.idx], true
 }
 
+// SkipTo moves forward to the first remaining element with start ≥ key by
+// a binary search over the rest of the slice, so the join's skips need no
+// new iterator. A key at or before an element already passed would need
+// to move backward, which SkipTo refuses: the join seeks instead.
+func (it *memIterator) SkipTo(key uint32) bool {
+	if it.idx > 0 && it.els[it.idx-1].Start >= key {
+		return false
+	}
+	rest := it.els[it.idx:]
+	it.idx += sort.Search(len(rest), func(i int) bool { return rest[i].Start >= key })
+	return true
+}
+
 func (it *memIterator) Err() error   { return nil }
 func (it *memIterator) Close() error { return nil }
 
